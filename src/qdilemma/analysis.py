@@ -2,20 +2,36 @@
 
 The 27 ordered strategy profiles over {I, H, X} cluster into ten classes, one
 per unordered multiset.  Class labels are the roman numerals of the reference
-experiment table; they are recovered at run time by simulating each multiset
-on the pristine input and matching the mean payoffs, with the four anchored
-classes asserted rather than matched.
+experiment table, fixed in :data:`CLASS_MULTISETS`; the tests check that each
+class simulates to its reference mean payoff on the pristine input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 
 from .game import DEFAULT_GAMMA, PayoffTable, mean_payoff
 from .noise import check_corruption, corrupted_input
 
-CLASS_LABELS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X")
+#: Census label of each strategy class and its multiset as a sorted letter
+#: triple.  Two ties in the reference payoffs are settled by convention: the
+#: size-1 all-Hadamard class is I (its size-3 twin is II), and of the pair tied
+#: at -1.833 the double-flip multiset is III and the double-identity one is X.
+CLASS_MULTISETS = {
+    "I": ("H", "H", "H"),
+    "II": ("H", "H", "X"),
+    "III": ("H", "X", "X"),
+    "IV": ("X", "X", "X"),
+    "V": ("I", "I", "I"),
+    "VI": ("I", "I", "X"),
+    "VII": ("I", "X", "X"),
+    "VIII": ("H", "I", "X"),
+    "IX": ("H", "H", "I"),
+    "X": ("H", "I", "I"),
+}
+
+CLASS_LABELS = tuple(CLASS_MULTISETS)
 
 #: Reference per-class mean payoffs on a pristine source with the default
 #: (p, q, n) = (1, 2, 9) stakes, quoted to the precision of the source table.
@@ -31,19 +47,6 @@ REFERENCE_CLASS_MEANS = {
     "IX": 4.75,
     "X": -1.833,
 }
-
-#: Classes pinned to their multiset by the game's structure: the all-flip
-#: classical equilibrium, the all-identity baseline, the biased best-response
-#: pair of flips, and the all-distinct mixed-strategy equilibrium.
-ANCHORED_MULTISETS = {
-    ("X", "X", "X"): "IV",
-    ("I", "I", "I"): "V",
-    ("I", "X", "X"): "VII",
-    ("H", "I", "X"): "VIII",
-}
-
-#: Matching tolerance against the reference payoffs (quoted to 2-4 figures).
-MATCH_TOL = 5e-3
 
 #: Absolute tolerance separating "tie" from a strict payoff advantage.
 TIE_TOL = 1e-12
@@ -66,15 +69,6 @@ class StrategyClass:
         return len(self.configurations)
 
 
-def _multisets():
-    """The ten unordered strategy bags, each as a sorted letter triple."""
-    return list(combinations_with_replacement("HIX", 3))
-
-
-def _orderings(multiset):
-    return tuple(sorted(set(permutations(multiset))))
-
-
 def simulated_class_mean(multiset, table: PayoffTable, x: float = 0.0,
                          gamma: float = DEFAULT_GAMMA) -> float:
     """Mean payoff of a class, simulated on the corrupted input.
@@ -85,62 +79,18 @@ def simulated_class_mean(multiset, table: PayoffTable, x: float = 0.0,
     return mean_payoff(multiset, table, corrupted_input(x), gamma)
 
 
-def label_classes(table: PayoffTable | None = None):
-    """Map every strategy multiset to its census label.
-
-    Labels are only defined relative to the reference payoffs, so the table
-    must be the default (1, 2, 9).  Anchored classes are asserted against the
-    reference values; the rest are matched by simulated payoff, with two
-    documented tie-breaks: the size-1 class of three Hadamards is I (its
-    size-3 twin is II), and of the two classes tied at -1.833 the double-flip
-    multiset is III and the double-identity one is X.
-    """
-    table = PayoffTable() if table is None else table
-    if (table.p, table.q, table.n) != (1.0, 2.0, 9.0):
-        raise ValueError("class labels are anchored to the default payoff table (1, 2, 9)")
-    means = {ms: simulated_class_mean(ms, table) for ms in _multisets()}
-
-    assigned = {}
-    for ms, label in ANCHORED_MULTISETS.items():
-        if abs(means[ms] - REFERENCE_CLASS_MEANS[label]) > MATCH_TOL:
-            raise RuntimeError(
-                f"anchored class {label} simulates to {means[ms]:.6f}, expected "
-                f"{REFERENCE_CLASS_MEANS[label]} - simulation bug"
-            )
-        assigned[ms] = label
-
-    free = [lab for lab in CLASS_LABELS if lab not in assigned.values()]
-    for ms in _multisets():
-        if ms in assigned:
-            continue
-        candidates = [lab for lab in free if abs(means[ms] - REFERENCE_CLASS_MEANS[lab]) <= MATCH_TOL]
-        if not candidates:
-            raise RuntimeError(
-                f"multiset {ms} simulates to {means[ms]:.6f}, matching no reference payoff"
-            )
-        label = candidates[0] if len(candidates) == 1 else _break_tie(ms, candidates)
-        assigned[ms] = label
-        free.remove(label)
-    return assigned
-
-
-def _break_tie(ms, candidates):
-    if set(candidates) == {"I", "II"}:
-        return "I" if len(set(permutations(ms))) == 1 else "II"
-    if set(candidates) == {"III", "X"}:
-        return "III" if ms.count("X") == 2 else "X"
-    raise RuntimeError(f"cannot disambiguate multiset {ms} among labels {candidates}")
+def label_classes():
+    """Map every strategy multiset to its census label."""
+    return {multiset: label for label, multiset in CLASS_MULTISETS.items()}
 
 
 def enumerate_classes():
     """The ten strategy classes partitioning all 27 ordered profiles, labeled I..X."""
-    labels = label_classes()
-    classes = [
-        StrategyClass(label=labels[ms], multiset=ms, configurations=_orderings(ms))
-        for ms in _multisets()
+    return [
+        StrategyClass(label=label, multiset=multiset,
+                      configurations=tuple(sorted(set(permutations(multiset)))))
+        for label, multiset in CLASS_MULTISETS.items()
     ]
-    classes.sort(key=lambda c: CLASS_LABELS.index(c.label))
-    return classes
 
 
 def quantum_ne_payoff(table: PayoffTable, x: float) -> float:

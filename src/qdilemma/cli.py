@@ -89,7 +89,13 @@ def main(argv=None) -> int:
     return 0
 
 
-def _params(args, **extra) -> dict:
+#: Parameter columns that lead every CSV row, unless the row already carries them.
+_ECHO_COLUMNS = ("p", "q", "n", "x", "gamma", "seed")
+
+
+def _payload(args, results, rows, **extra) -> dict:
+    """The one record form: JSON prints ``params`` and ``results``, CSV is derived
+    from ``rows`` (flat dicts) with the ``params`` echo as leading columns."""
     params = {
         "command": args.command,
         "p": args.p,
@@ -102,11 +108,7 @@ def _params(args, **extra) -> dict:
         "grid": args.grid,
     }
     params.update(extra)
-    return params
-
-
-def _param_columns(args):
-    return ["p", "q", "n", "x", "gamma", "seed"], [args.p, args.q, args.n, args.x, args.gamma, args.seed]
+    return {"params": params, "results": results, "rows": rows}
 
 
 def _table(args) -> PayoffTable:
@@ -118,9 +120,10 @@ def cmd_play(args) -> dict:
     table = _table(args)
     probs = game.play(profile, noise.corrupted_input(args.x), args.gamma)
     pay = game.payoff(probs, table)
+    name = args.profile.upper()
     results = {
-        "profile": args.profile.upper(),
-        "probabilities": {name: probs[k] for k, name in enumerate(game.OUTCOMES)},
+        "profile": name,
+        "probabilities": {outcome: probs[k] for k, outcome in enumerate(game.OUTCOMES)},
         "payoffs": {
             "player1": pay.player1,
             "player2": pay.player2,
@@ -128,30 +131,24 @@ def cmd_play(args) -> dict:
             "mean": pay.mean,
         },
     }
-    names, values = _param_columns(args)
-    header = names + ["profile"] + [f"prob_{o}" for o in game.OUTCOMES] + [
-        "payoff1", "payoff2", "payoff3", "mean"]
-    row = values + [args.profile.upper()] + list(probs) + [
-        pay.player1, pay.player2, pay.player3, pay.mean]
-    return {"params": _params(args, profile=args.profile.upper()),
-            "results": results, "csv": (header, [row])}
+    row = {"profile": name}
+    row.update((f"prob_{outcome}", probs[k]) for k, outcome in enumerate(game.OUTCOMES))
+    row.update(payoff1=pay.player1, payoff2=pay.player2, payoff3=pay.player3, mean=pay.mean)
+    return _payload(args, results, [row], profile=name)
 
 
 def cmd_classes(args) -> dict:
     table = _table(args)
-    rows = []
-    for cls in analysis.enumerate_classes():
-        mean = analysis.simulated_class_mean(cls.multiset, table, args.x, args.gamma)
-        rows.append({
+    rows = [
+        {
             "label": cls.label,
             "multiset": "".join(cls.multiset),
             "size": cls.size,
-            "mean_payoff": mean,
-        })
-    names, values = _param_columns(args)
-    header = names + ["label", "multiset", "size", "mean_payoff"]
-    csv_rows = [values + [r["label"], r["multiset"], r["size"], r["mean_payoff"]] for r in rows]
-    return {"params": _params(args), "results": rows, "csv": (header, csv_rows)}
+            "mean_payoff": analysis.simulated_class_mean(cls.multiset, table, args.x, args.gamma),
+        }
+        for cls in analysis.enumerate_classes()
+    ]
+    return _payload(args, rows, rows)
 
 
 def cmd_sweep(args) -> dict:
@@ -161,6 +158,8 @@ def cmd_sweep(args) -> dict:
         stop = 1.0 if stop is None else stop
     if start is None or stop is None:
         raise ValueError(f"sweeping {args.swept} requires --from and --to")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"sweep range [{start}, {stop}] must be finite")
     if args.grid < 1:
         raise ValueError("empty sweep range: --grid must be at least 1")
     if stop < start:
@@ -168,12 +167,7 @@ def cmd_sweep(args) -> dict:
     grid = np.linspace(start, stop, args.grid)
     records = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
     rows = [asdict(r) for r in records]
-    # each record already echoes its effective p, q, n, x
-    fields = list(rows[0])
-    header = ["gamma", "seed"] + fields
-    csv_rows = [[args.gamma, args.seed] + [row[f] for f in fields] for row in rows]
-    return {"params": _params(args, swept=args.swept, start=start, stop=stop),
-            "results": rows, "csv": (header, csv_rows)}
+    return _payload(args, rows, rows, swept=args.swept, start=start, stop=stop)
 
 
 def cmd_xc(args) -> dict:
@@ -185,11 +179,9 @@ def cmd_xc(args) -> dict:
         "no_advantage": x_c is None,
         "report": asdict(report),
     }
-    names, values = _param_columns(args)
-    header = names + ["x_c", "no_advantage", "quantum_ne_mean", "classical_ne_mean", "dominant"]
-    row = values + [x_c, x_c is None, report.quantum_ne_mean, report.classical_ne_mean,
-                    report.dominant]
-    return {"params": _params(args), "results": results, "csv": (header, [row])}
+    row = {"x_c": x_c, "no_advantage": x_c is None, "quantum_ne_mean": report.quantum_ne_mean,
+           "classical_ne_mean": report.classical_ne_mean, "dominant": report.dominant}
+    return _payload(args, results, [row])
 
 
 def _resolve_state(token: str, args) -> np.ndarray:
@@ -212,13 +204,10 @@ def _resolve_target(token: str, args) -> np.ndarray:
     return _resolve_state(token, args)
 
 
-def _tensor_payload(args, t: np.ndarray, extra_params: dict) -> dict:
-    names, values = _param_columns(args)
-    header = names + ["i1", "i2", "i3", "value"]
-    rows = [values + [i, j, k, t[i, j, k]]
+def _tensor_payload(args, t: np.ndarray, token: str) -> dict:
+    rows = [{"i1": i, "i2": j, "i3": k, "value": t[i, j, k]}
             for i in range(4) for j in range(4) for k in range(4)]
-    return {"params": _params(args, **extra_params),
-            "results": {"tensor": t.tolist()}, "csv": (header, rows)}
+    return _payload(args, {"tensor": t.tolist()}, rows, state=token)
 
 
 def cmd_tomo(args) -> dict:
@@ -228,22 +217,17 @@ def cmd_tomo(args) -> dict:
             raise ValueError("tomo fidelity takes exactly two inputs: STATE TARGET")
         state = _resolve_state(args.inputs[0], args)
         target = _resolve_target(args.inputs[1], args)
-        value = tomography.fidelity(state, target)
-        names, values = _param_columns(args)
-        return {
-            "params": _params(args, state=args.inputs[0], target=args.inputs[1]),
-            "results": {"fidelity": value},
-            "csv": (names + ["fidelity"], [values + [value]]),
-        }
+        results = {"fidelity": tomography.fidelity(state, target)}
+        return _payload(args, results, [results], state=args.inputs[0], target=args.inputs[1])
     if len(args.inputs) != 1:
         raise ValueError(f"tomo {task} takes exactly one input")
     token = args.inputs[0]
     if task == "forward":
         t = tomography.expectations(_resolve_state(token, args))
-        return _tensor_payload(args, t, {"state": token})
+        return _tensor_payload(args, t, token)
     if task == "estimate":
         t = tomography.estimate_expectations(_resolve_state(token, args), args.shots, args.seed)
-        return _tensor_payload(args, t, {"state": token})
+        return _tensor_payload(args, t, token)
     # reconstruct: token is a JSON file from a previous forward/estimate run
     with open(token, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -252,15 +236,10 @@ def cmd_tomo(args) -> dict:
     except (KeyError, TypeError):
         raise ValueError(f"{token!r} does not contain a results.tensor block") from None
     rho = tomography.reconstruct(tensor)
-    names, values = _param_columns(args)
-    header = names + ["row", "col", "re", "im"]
-    rows = [values + [i, j, rho[i, j].real, rho[i, j].imag]
+    rows = [{"row": i, "col": j, "re": rho[i, j].real, "im": rho[i, j].imag}
             for i in range(8) for j in range(8)]
-    return {
-        "params": _params(args, tensor_file=token),
-        "results": {"real": rho.real.tolist(), "imag": rho.imag.tolist()},
-        "csv": (header, rows),
-    }
+    results = {"real": rho.real.tolist(), "imag": rho.imag.tolist()}
+    return _payload(args, results, rows, tensor_file=token)
 
 
 def _csv_cell(value) -> str:
@@ -269,21 +248,27 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"result holds the non-finite value {value!r}")
         return format(value, ".12g")
     return str(value)
 
 
 def emit(payload: dict, args):
+    """Write the payload as JSON or CSV; a non-finite number raises instead."""
+    params = payload["params"]
     if args.fmt == "json":
-        text = json.dumps({"params": payload["params"], "results": payload["results"]},
-                          indent=2) + "\n"
+        text = json.dumps({"params": params, "results": payload["results"]},
+                          indent=2, allow_nan=False) + "\n"
     else:
-        header, rows = payload["csv"]
+        rows = payload["rows"]
+        echo = [c for c in _ECHO_COLUMNS if c not in rows[0]]
+        lead = [_csv_cell(params[c]) for c in echo]
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(echo + list(rows[0]))
         for row in rows:
-            writer.writerow([_csv_cell(v) for v in row])
+            writer.writerow(lead + [_csv_cell(v) for v in row.values()])
         text = buf.getvalue()
     if args.output:
         _write_atomic(args.output, text)

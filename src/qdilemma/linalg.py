@@ -111,11 +111,13 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
 def validate_density_matrix(rho, qubits: int | None = None, raw: bool = False) -> np.ndarray:
     """Check density-matrix invariants and return the array.
 
-    Hermiticity and unit trace are always enforced; positivity (eigenvalues
-    down to ``-PSD_SLACK``) is skipped for ``raw`` states such as
+    Finite entries, Hermiticity and unit trace are always enforced; positivity
+    (eigenvalues down to ``-PSD_SLACK``) is skipped for ``raw`` states such as
     linear-inversion tomography output.
     """
     rho = np.asarray(rho, dtype=complex)
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("density matrix has non-finite entries")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
     d = rho.shape[0]

@@ -1,8 +1,11 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 
 from qdilemma.analysis import (
     CLASS_LABELS,
+    CLASS_MULTISETS,
     REFERENCE_CLASS_MEANS,
     EquilibriumReport,
     classical_ne_payoff,
@@ -67,9 +70,9 @@ class TestLabelClasses:
             simulated = simulated_class_mean(multiset, TABLE)
             assert simulated == pytest.approx(REFERENCE_CLASS_MEANS[label], abs=5e-3)
 
-    def test_rejects_non_default_table(self):
-        with pytest.raises(ValueError, match="default payoff table"):
-            label_classes(PayoffTable(1, 2, 10))
+    def test_table_holds_each_sorted_triple_once(self):
+        triples = sorted(CLASS_MULTISETS.values())
+        assert triples == sorted(combinations_with_replacement("HIX", 3))
 
 
 class TestEquilibriumPayoffs:

@@ -21,6 +21,24 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def assert_one_error(code, out, err, match):
+    assert code != 0
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert match in err
+
+
+def write_matrix_with_nan(path):
+    real = [["0"] * 8 for _ in range(8)]
+    for k in range(8):
+        real[k][k] = "0.125"
+    real[0][1] = "nan"
+    lines = [" ".join(row) for row in real] + [""] + [" ".join(["0"] * 8)] * 8
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
 class TestPlay:
     def test_biased_best_response_defaults(self, capsys):
         doc = run_json(capsys, "play", "XIX")
@@ -161,6 +179,73 @@ class TestTomo:
         code, _, err = run(capsys, "tomo", "fidelity", "class7_appendix")
         assert code != 0
         assert "two inputs" in err
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_stake_fails(self, capsys, fmt):
+        # 4n overflows, so x_c is NaN: the emit backstop refuses it
+        code, out, err = run(capsys, "xc", "--n", "1e308", "--format", fmt)
+        assert_one_error(code, out, err, "nan")
+
+    def test_nan_sweep_start_fails(self, capsys):
+        code, out, err = run(capsys, "sweep", "x", "--from", "nan")
+        assert_one_error(code, out, err, "finite")
+
+    def test_infinite_sweep_stop_fails(self, capsys):
+        code, out, err = run(capsys, "sweep", "n", "--from", "3", "--to", "inf")
+        assert_one_error(code, out, err, "finite")
+
+    def test_forward_of_nan_matrix_fails(self, capsys, tmp_path):
+        path = write_matrix_with_nan(tmp_path / "nan.txt")
+        code, out, err = run(capsys, "tomo", "forward", path)
+        assert_one_error(code, out, err, "non-finite")
+
+    def test_fidelity_of_nan_matrix_fails(self, capsys, tmp_path):
+        path = write_matrix_with_nan(tmp_path / "nan.txt")
+        code, out, err = run(capsys, "tomo", "fidelity", path, "101")
+        assert_one_error(code, out, err, "non-finite")
+
+    def test_reconstruct_of_nan_tensor_fails(self, capsys, tmp_path):
+        t = np.zeros((4, 4, 4))
+        t[0, 0, 0] = 1.0
+        t[3, 0, 3] = np.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"results": {"tensor": t.tolist()}}), encoding="utf-8")
+        code, out, err = run(capsys, "tomo", "reconstruct", str(path))
+        assert_one_error(code, out, err, "non-finite")
+
+
+ECHO = "p,q,n,x,gamma,seed"
+TENSOR_HEADER = ECHO + ",i1,i2,i3,value"
+
+
+class TestCsvHeaders:
+    @pytest.mark.parametrize("argv, header", [
+        (["play", "XIX"], ECHO + ",profile," + ",".join(f"prob_{b:03b}" for b in range(8))
+         + ",payoff1,payoff2,payoff3,mean"),
+        (["classes"], ECHO + ",label,multiset,size,mean_payoff"),
+        (["sweep", "x", "--grid", "3"],
+         "gamma,seed,swept,value,p,q,n,x,quantum_ne_mean,classical_ne_mean,x_c,"
+         "simulated_quantum_mean,simulated_classical_mean,valid,error"),
+        (["xc"], ECHO + ",x_c,no_advantage,quantum_ne_mean,classical_ne_mean,dominant"),
+        (["tomo", "fidelity", "class7_appendix", "101"], ECHO + ",fidelity"),
+        (["tomo", "forward", "XIX"], TENSOR_HEADER),
+        (["tomo", "estimate", "XIX", "--shots", "10"], TENSOR_HEADER),
+    ])
+    def test_header(self, capsys, argv, header):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        assert out.split("\n", 1)[0] == header
+
+    def test_reconstruct_header(self, capsys, tmp_path):
+        tensor_file = tmp_path / "tensor.json"
+        assert run(capsys, "tomo", "forward", "XIX", "--output", str(tensor_file))[0] == 0
+        code, out, err = run(capsys, "tomo", "reconstruct", str(tensor_file), "--format", "csv")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == ECHO + ",row,col,re,im"
+        assert len(lines) == 1 + 64
 
 
 class TestOutputFormats:

@@ -196,6 +196,14 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="power of two"):
             validate_density_matrix(np.eye(3) / 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_entry(self, bad):
+        # NaN compares false against every tolerance, so it must be caught first
+        rho = basis_density("000")
+        rho[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            validate_density_matrix(rho, raw=True)
+
 
 class TestBasisStates:
     def test_101_is_index_5(self):

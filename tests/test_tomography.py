@@ -47,6 +47,15 @@ class TestExpectations:
         with pytest.raises(ValueError, match="3-qubit"):
             expectations(np.eye(4) / 4)
 
+    def test_imaginary_residue_rejected(self):
+        # anti-Hermitian part 0.9e-12 passes the Hermiticity check, but
+        # tr(rho · I⊗I⊗X) picks up 8 * 0.45e-12 = 3.6e-12 of imaginary part
+        iix = np.kron(np.eye(4), linalg.X)
+        rho = np.eye(8) / 8 + 0.45e-12j * iix
+        validate_density_matrix(rho, raw=True)
+        with pytest.raises(ValueError, match=r"expectation \(0, 0, 1\) has imaginary residue 3\.6"):
+            expectations(rho)
+
 
 class TestReconstruct:
     def test_round_trip_on_pure_states(self, rng):
@@ -81,6 +90,15 @@ class TestReconstruct:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="4x4x4"):
             reconstruct(np.ones((4, 4)))
+
+    @pytest.mark.parametrize("index", [(0, 0, 0), (1, 2, 3)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, index, bad):
+        t = np.zeros((4, 4, 4))
+        t[0, 0, 0] = 1.0
+        t[index] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct(t)
 
 
 class TestEstimateExpectations:
@@ -218,6 +236,23 @@ class TestDensityFileFormat:
         bad = ["a 0 0 0 0 0 0 0"] + ["0 0 0 0 0 0 0 0"] * 7
         with pytest.raises(ValueError, match="malformed"):
             parse_density_text("\n".join(rows + [""] + bad))
+
+
+def test_matches_the_per_string_loop_bit_for_bit(rng):
+    # the seeded estimator draws from these values, so the stacked forms must
+    # reproduce the per-string trace and the ordered accumulation exactly
+    strings = [np.kron(np.kron(linalg.PAULIS[i], linalg.PAULIS[j]), linalg.PAULIS[k])
+               for i, j, k in product(range(4), repeat=3)]
+    for rho in [random_mixed_density(rng) for _ in range(10)] + [
+            evolve(parse_profile("HIX")), load_reference_state("class7_appendix")]:
+        oracle = np.array([np.trace(rho @ s).real for s in strings]).reshape(4, 4, 4)
+        t = expectations(rho)
+        assert np.array_equal(t, oracle)
+        acc = np.zeros((8, 8), dtype=complex)
+        for value, s in zip(t.ravel(), strings):
+            if value != 0.0:
+                acc += value * s
+        assert reconstruct(t).tobytes() == (acc / 8.0).tobytes()
 
 
 def test_pauli_strings_cover_all_64(rng):
