@@ -8,10 +8,11 @@ class simulates to its reference mean payoff on the pristine input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
-from .game import DEFAULT_GAMMA, PayoffTable, mean_payoff
+from .game import DEFAULT_GAMMA, PayoffTable, _check_gamma, mean_payoff
 from .noise import check_corruption, corrupted_input
 
 #: Census label of each strategy class and its multiset as a sorted letter
@@ -93,10 +94,23 @@ def enumerate_classes():
     ]
 
 
+def _scaled_stakes(table: PayoffTable):
+    """``p, q, n`` times ``2**-e``, with ``e`` the binary exponent of ``n``, and ``e``.
+
+    The scaled ``n`` lies in [1/2, 1), so ``4n`` cannot overflow.  Scaling by a
+    power of two is exact unless a stake drops below the normal float range
+    (``n/p > 2**1021``), so the closed forms below give their unscaled
+    expressions' results bit for bit wherever those are finite.
+    """
+    e = math.frexp(table.n)[1]
+    return math.ldexp(table.p, -e), math.ldexp(table.q, -e), math.ldexp(table.n, -e), e
+
+
 def quantum_ne_payoff(table: PayoffTable, x: float) -> float:
     """Per-player mean payoff of the mixed-strategy (quantum) equilibrium class."""
     check_corruption(x)
-    return (-4.0 * table.n * x + 2.0 * table.n + table.p) / 3.0
+    p, _, n, e = _scaled_stakes(table)
+    return math.ldexp((-4.0 * n * x + 2.0 * n + p) / 3.0, e)
 
 
 def classical_ne_payoff(table: PayoffTable, x: float) -> float:
@@ -111,10 +125,11 @@ def critical_corruption(table: PayoffTable) -> float | None:
     Returns ``None`` when the quantum side never leads (non-positive
     numerator), a distinguished no-advantage outcome rather than a level.
     """
-    numerator = 2.0 * table.n + table.p - 3.0 * table.q
+    p, q, n, _ = _scaled_stakes(table)
+    numerator = 2.0 * n + p - 3.0 * q
     if numerator <= 0.0:
         return None
-    return numerator / (4.0 * table.n - 3.0 * table.q)
+    return numerator / (4.0 * n - 3.0 * q)
 
 
 @dataclass(frozen=True)
@@ -180,15 +195,24 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     are independent, so evaluation order does not matter).  For a corruption
     sweep each record also carries simulated cross-checks: the mean payoff of
     a mixed-class profile and of the all-flip profile on the corrupted input.
+    The circuit and the payoff are linear in the input
+    ``(1-x)|000><000| + x|111><111|``, so both are simulated once at ``x = 0``
+    and ``x = 1`` and interpolated along the grid.
 
-    Raises on an empty grid; per-point constraint violations are flagged on
-    the record, not dropped.
+    Raises on an out-of-range gamma or an empty grid; per-point constraint
+    violations are flagged on the record, not dropped.
     """
     if swept not in SWEEPABLE:
         raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {swept!r}")
+    _check_gamma(gamma)
     grid = [float(v) for v in grid]
     if not grid:
         raise ValueError("empty sweep grid")
+    if swept == "x":
+        mixed0, mixed1 = (simulated_class_mean(("H", "I", "X"), table, end, gamma)
+                          for end in (0.0, 1.0))
+        flip0, flip1 = (simulated_class_mean(("X", "X", "X"), table, end, gamma)
+                        for end in (0.0, 1.0))
 
     records = []
     for v in grid:
@@ -210,9 +234,8 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
             continue
         sim_quantum = sim_classical = None
         if swept == "x":
-            rho = corrupted_input(xx)
-            sim_quantum = mean_payoff(("H", "I", "X"), point, rho, gamma)
-            sim_classical = mean_payoff(("X", "X", "X"), point, rho, gamma)
+            sim_quantum = (1.0 - xx) * mixed0 + xx * mixed1
+            sim_classical = (1.0 - xx) * flip0 + xx * flip1
         records.append(
             SweepRecord(
                 swept=swept,

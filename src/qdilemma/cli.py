@@ -166,7 +166,7 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"inverted sweep range [{start}, {stop}]")
     grid = np.linspace(start, stop, args.grid)
     records = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
-    rows = [asdict(r) for r in records]
+    rows = [dict(vars(r)) for r in records]
     return _payload(args, rows, rows, swept=args.swept, start=start, stop=stop)
 
 
@@ -254,12 +254,37 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _first_non_finite(node, path=""):
+    """Key path and value of the first non-finite float in a JSON tree, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else (path, node)
+    if isinstance(node, dict):
+        children = ((f"{path}.{key}" if path else key, value) for key, value in node.items())
+    elif isinstance(node, (list, tuple)):
+        children = ((f"{path}[{k}]", value) for k, value in enumerate(node))
+    else:
+        return None
+    for child_path, value in children:
+        found = _first_non_finite(value, child_path)
+        if found:
+            return found
+    return None
+
+
 def emit(payload: dict, args):
     """Write the payload as JSON or CSV; a non-finite number raises instead."""
     params = payload["params"]
     if args.fmt == "json":
-        text = json.dumps({"params": params, "results": payload["results"]},
-                          indent=2, allow_nan=False) + "\n"
+        doc = {"params": params, "results": payload["results"]}
+        try:
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError:
+            # walk the document only on failure: sweeps emit thousands of records
+            found = _first_non_finite(doc)
+            if found is None:
+                raise
+            path, value = found
+            raise ValueError(f"result holds the non-finite value {value!r} at {path}") from None
     else:
         rows = payload["rows"]
         echo = [c for c in _ECHO_COLUMNS if c not in rows[0]]

@@ -8,6 +8,7 @@ computational basis.  Outcome bit 1 means "go to the party"; the stakes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,6 +131,10 @@ class PayoffTable:
     n: float = 9.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.p) and math.isfinite(self.q) and math.isfinite(self.n)):
+            raise ValueError(
+                f"payoffs must be finite, got p={self.p}, q={self.q}, n={self.n}"
+            )
         if not 0.0 < self.p < self.q < self.n:
             raise ValueError(
                 f"payoffs must satisfy 0 < p < q < n, got p={self.p}, q={self.q}, n={self.n}"

@@ -1,7 +1,10 @@
+import math
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdilemma.analysis import (
     CLASS_LABELS,
@@ -131,6 +134,34 @@ class TestCriticalCorruption:
             x_c = critical_corruption(random_payoff_table(rng))
             assert x_c is None or 0 < x_c < 0.5
 
+    def test_scaled_forms_match_unscaled_expressions_bit_for_bit(self, rng):
+        # stakes from 1e-5 to 1e300, where 4n and the unscaled forms stay finite
+        for _ in range(2000):
+            n = 10.0 ** rng.uniform(-5, 300)
+            q = n * rng.uniform(0.01, 1.0)
+            p = q * rng.uniform(0.01, 1.0)
+            if not 0.0 < p < q < n:
+                continue
+            table = PayoffTable(p, q, n)
+            numerator = 2.0 * n + p - 3.0 * q
+            expected = None if numerator <= 0.0 else numerator / (4.0 * n - 3.0 * q)
+            assert critical_corruption(table) == expected
+            x = rng.uniform(0.0, 1.0)
+            assert quantum_ne_payoff(table, x) == (-4.0 * n * x + 2.0 * n + p) / 3.0
+
+    def test_overflowing_stakes_are_answered(self):
+        # 4n overflows in the unscaled form
+        table = PayoffTable(1.0, 2.0, 1e308)
+        assert critical_corruption(table) == 0.5
+        assert quantum_ne_payoff(table, 0.0) == pytest.approx(1e308 / 3 * 2, rel=1e-15)
+        assert math.isfinite(quantum_ne_payoff(table, 1.0))
+        assert dominance(table, 0.0).dominant == "quantum"
+
+    def test_rounds_to_half_near_n_1e17(self):
+        # x_c < 1/2 exactly; in floating point it reaches 1/2 near n = 1e17
+        assert critical_corruption(PayoffTable(1.0, 2.0, 1e16)) < 0.5
+        assert critical_corruption(PayoffTable(1.0, 2.0, 1e17)) == 0.5
+
 
 class TestDominance:
     def test_low_corruption_favors_quantum(self):
@@ -147,6 +178,15 @@ class TestDominance:
             table = random_payoff_table(rng)
             x = rng.uniform(0.5, 1.0)
             assert dominance(table, x).dominant != "quantum"
+
+    @settings(deadline=None)
+    @given(log_n=st.floats(-5.0, 307.0), q_frac=st.floats(1e-6, 1.0, exclude_max=True),
+           p_frac=st.floats(1e-6, 1.0, exclude_max=True),
+           x=st.floats(0.5, 1.0, exclude_min=True))
+    def test_never_quantum_past_half_at_any_scale(self, log_n, q_frac, p_frac, x):
+        n = 10.0 ** log_n
+        table = PayoffTable(n * q_frac * p_frac, n * q_frac, n)
+        assert dominance(table, x).dominant != "quantum"
 
     def test_report_echoes_both_payoffs(self):
         report = dominance(TABLE, 0.25)
@@ -216,3 +256,34 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError, match="swept"):
             sweep(TABLE, "p", [1.0])
+
+    @pytest.mark.parametrize("swept, grid", [("x", [0.5]), ("n", [9.0]), ("x", [2.0, 3.0])])
+    @pytest.mark.parametrize("gamma", [-0.1, 5.0, float("nan")])
+    def test_gamma_checked_whatever_is_swept(self, swept, grid, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            sweep(TABLE, swept, grid, gamma=gamma)
+
+    def test_corruption_sweep_endpoints_are_the_simulated_endpoints(self):
+        gamma = 0.7
+        first, last = sweep(TABLE, "x", [0.0, 1.0], gamma=gamma)
+        for record, x in ((first, 0.0), (last, 1.0)):
+            assert record.simulated_quantum_mean == simulated_class_mean(
+                ("H", "I", "X"), TABLE, x, gamma)
+            assert record.simulated_classical_mean == simulated_class_mean(
+                ("X", "X", "X"), TABLE, x, gamma)
+
+    @settings(deadline=None)
+    @given(n=st.floats(1e-3, 1e3), q_frac=st.floats(1e-3, 1.0, exclude_max=True),
+           p_frac=st.floats(1e-3, 1.0, exclude_max=True),
+           xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+           gamma=st.floats(0.0, math.pi / 2))
+    def test_corruption_sweep_matches_the_circuit_oracle(self, n, q_frac, p_frac, xs, gamma):
+        q = n * q_frac
+        p = q * p_frac
+        table = PayoffTable(p, q, n)
+        tol = 1e-12 * (1.0 + n)
+        for record, x in zip(sweep(table, "x", xs, gamma=gamma), xs):
+            assert record.simulated_quantum_mean == pytest.approx(
+                simulated_class_mean(("H", "I", "X"), table, x, gamma), abs=tol)
+            assert record.simulated_classical_mean == pytest.approx(
+                simulated_class_mean(("X", "X", "X"), table, x, gamma), abs=tol)

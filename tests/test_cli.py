@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -5,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from qdilemma.cli import main
+from qdilemma.cli import emit, main
 
 
 def run(capsys, *argv):
@@ -114,6 +115,14 @@ class TestSweep:
         assert code != 0
         assert "inverted" in err
 
+    @pytest.mark.parametrize("argv", [("n", "--from", "3", "--to", "4"),
+                                      ("x", "--from", "2", "--to", "3"),
+                                      ("x",)])
+    def test_out_of_range_gamma_fails(self, capsys, argv):
+        code, out, err = run(capsys, "sweep", *argv, "--gamma", "5")
+        assert code == 2
+        assert_one_error(code, out, err, "gamma")
+
 
 class TestXc:
     def test_defaults(self, capsys):
@@ -183,10 +192,23 @@ class TestTomo:
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_overflowing_stake_fails(self, capsys, fmt):
-        # 4n overflows, so x_c is NaN: the emit backstop refuses it
+    def test_overflowing_stake_is_answered(self, capsys, fmt):
+        # 4n overflows unscaled; the closed forms scale the stakes first
         code, out, err = run(capsys, "xc", "--n", "1e308", "--format", fmt)
-        assert_one_error(code, out, err, "nan")
+        assert code == 0, err
+        if fmt == "json":
+            results = json.loads(out)["results"]
+            x_c, quantum = results["x_c"], results["report"]["quantum_ne_mean"]
+        else:
+            (row,) = csv.DictReader(io.StringIO(out))
+            x_c, quantum = float(row["x_c"]), float(row["quantum_ne_mean"])
+        assert x_c == 0.5
+        assert quantum == pytest.approx(6.67e307, rel=1e-3)
+
+    def test_infinite_stake_fails(self, capsys):
+        code, out, err = run(capsys, "play", "XXX", "--n", "inf")
+        assert code == 2
+        assert_one_error(code, out, err, "finite")
 
     def test_nan_sweep_start_fails(self, capsys):
         code, out, err = run(capsys, "sweep", "x", "--from", "nan")
@@ -214,6 +236,27 @@ class TestNonFiniteInputs:
         path.write_text(json.dumps({"results": {"tensor": t.tolist()}}), encoding="utf-8")
         code, out, err = run(capsys, "tomo", "reconstruct", str(path))
         assert_one_error(code, out, err, "non-finite")
+
+
+class TestEmitBackstop:
+    PAYLOAD = {
+        "params": {"p": 1.0, "q": 2.0, "n": 9.0, "x": 0.0, "gamma": 1.0, "seed": 0},
+        "results": {"x_c": 0.4, "report": {"x": 0.0, "quantum_ne_mean": float("nan")}},
+        "rows": [{"x_c": 0.4, "quantum_ne_mean": float("nan")}],
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nested_nan_is_refused(self, capsys, fmt):
+        with pytest.raises(ValueError, match="non-finite value nan") as info:
+            emit(self.PAYLOAD, argparse.Namespace(fmt=fmt, output=None))
+        assert capsys.readouterr().out == ""
+        if fmt == "json":
+            assert str(info.value).endswith("at results.report.quantum_ne_mean")
+
+    def test_list_entries_are_indexed(self, capsys):
+        payload = dict(self.PAYLOAD, results={"tensor": [[0.0, float("-inf")]]})
+        with pytest.raises(ValueError, match=r"at results\.tensor\[0\]\[1\]$"):
+            emit(payload, argparse.Namespace(fmt="json", output=None))
 
 
 ECHO = "p,q,n,x,gamma,seed"

@@ -190,6 +190,12 @@ class TestPayoffTable:
             with pytest.raises(ValueError, match="0 < p < q < n"):
                 PayoffTable(p, q, n)
 
+    @pytest.mark.parametrize("stakes", [(1, 2, np.inf), (1, np.inf, np.inf), (1, 2, np.nan),
+                                        (-np.inf, 2, 9), (np.nan, 2, 9)])
+    def test_rejects_non_finite_stakes(self, stakes):
+        with pytest.raises(ValueError, match="finite"):
+            PayoffTable(*stakes)
+
 
 class TestDecomposition:
     def test_five_steps(self):
