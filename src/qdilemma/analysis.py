@@ -8,9 +8,10 @@ class simulates to its reference mean payoff on the pristine input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 from .game import DEFAULT_GAMMA, PayoffTable, _check_gamma, mean_payoff
 from .noise import check_corruption, corrupted_input
@@ -94,29 +95,50 @@ def enumerate_classes():
     ]
 
 
-def _scaled_stakes(table: PayoffTable):
+def _scaled_stakes(p, q, n):
     """``p, q, n`` times ``2**-e``, with ``e`` the binary exponent of ``n``, and ``e``.
 
-    The scaled ``n`` lies in [1/2, 1), so ``4n`` cannot overflow.  Scaling by a
-    power of two is exact unless a stake drops below the normal float range
-    (``n/p > 2**1021``), so the closed forms below give their unscaled
-    expressions' results bit for bit wherever those are finite.
+    The stakes are floats or float arrays alike, not ints (``np.ldexp`` of a
+    Python int may return a half-precision float).  The scaled ``n`` lies in
+    [1/2, 1), so ``4n`` cannot overflow.  Scaling by a power of two is exact
+    unless a stake drops below the normal float range (``n/p > 2**1021``), so
+    the closed forms below give their unscaled expressions' results bit for
+    bit wherever those are finite.
     """
-    e = math.frexp(table.n)[1]
-    return math.ldexp(table.p, -e), math.ldexp(table.q, -e), math.ldexp(table.n, -e), e
+    e = np.frexp(n)[1]
+    return np.ldexp(p, -e), np.ldexp(q, -e), np.ldexp(n, -e), e
+
+
+# The closed forms over float stakes and corruption, scalars or arrays alike:
+# the public functions below and the columnar ``sweep`` share them.
+
+def _quantum_ne(p, q, n, x):
+    p, _, n, e = _scaled_stakes(p, q, n)
+    return np.ldexp((-4.0 * n * x + 2.0 * n + p) / 3.0, e)
+
+
+def _classical_ne(q, x):
+    return q * (1.0 - x)
+
+
+def _crossing(p, q, n):
+    """Numerator and value of the crossing level; the value is a level only
+    where the numerator is positive."""
+    p, q, n, _ = _scaled_stakes(p, q, n)
+    numerator = 2.0 * n + p - 3.0 * q
+    return numerator, numerator / (4.0 * n - 3.0 * q)
 
 
 def quantum_ne_payoff(table: PayoffTable, x: float) -> float:
     """Per-player mean payoff of the mixed-strategy (quantum) equilibrium class."""
     check_corruption(x)
-    p, _, n, e = _scaled_stakes(table)
-    return math.ldexp((-4.0 * n * x + 2.0 * n + p) / 3.0, e)
+    return float(_quantum_ne(float(table.p), float(table.q), float(table.n), x))
 
 
 def classical_ne_payoff(table: PayoffTable, x: float) -> float:
     """Per-player payoff of the all-flip (classical) equilibrium: q(1-x)."""
     check_corruption(x)
-    return table.q * (1.0 - x)
+    return _classical_ne(table.q, x)
 
 
 def critical_corruption(table: PayoffTable) -> float | None:
@@ -125,11 +147,8 @@ def critical_corruption(table: PayoffTable) -> float | None:
     Returns ``None`` when the quantum side never leads (non-positive
     numerator), a distinguished no-advantage outcome rather than a level.
     """
-    p, q, n, _ = _scaled_stakes(table)
-    numerator = 2.0 * n + p - 3.0 * q
-    if numerator <= 0.0:
-        return None
-    return numerator / (4.0 * n - 3.0 * q)
+    numerator, x_c = _crossing(float(table.p), float(table.q), float(table.n))
+    return float(x_c) if numerator > 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -159,96 +178,83 @@ def dominance(table: PayoffTable, x: float) -> EquilibriumReport:
     return EquilibriumReport(x=x, quantum_ne_mean=qu, classical_ne_mean=cl, dominant=verdict)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a parameter sweep.
-
-    ``value`` is the swept parameter's value; ``p, q, n, x`` echo the full
-    effective parameter set.  Grid points whose stakes violate 0 < p < q < n
-    are kept with ``valid=False`` and an error message instead of numbers.
-    """
-
-    swept: str
-    value: float
-    p: float
-    q: float
-    n: float
-    x: float
-    quantum_ne_mean: float | None = None
-    classical_ne_mean: float | None = None
-    x_c: float | None = None
-    simulated_quantum_mean: float | None = None
-    simulated_classical_mean: float | None = None
-    valid: bool = True
-    error: str | None = None
-
-
 SWEEPABLE = ("x", "n", "q")
+
+#: Keys of a sweep row, in order.
+SWEEP_COLUMNS = ("swept", "value", "p", "q", "n", "x", "quantum_ne_mean", "classical_ne_mean",
+                 "x_c", "simulated_quantum_mean", "simulated_classical_mean", "valid", "error")
 
 
 def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
-          gamma: float = DEFAULT_GAMMA):
+          gamma: float = DEFAULT_GAMMA) -> list[dict]:
     """Evaluate both equilibria and the crossing point over a parameter grid.
 
     ``swept`` is one of ``"x"``, ``"n"``, ``"q"``; the other parameters are
-    held at ``table`` and ``x``.  Records come back in grid order (the points
-    are independent, so evaluation order does not matter).  For a corruption
-    sweep each record also carries simulated cross-checks: the mean payoff of
-    a mixed-class profile and of the all-flip profile on the corrupted input.
+    held at ``table`` and ``x``.  Returns one flat dict per grid point, in
+    grid order, with the keys :data:`SWEEP_COLUMNS`: ``value`` is the swept
+    parameter's value and ``p, q, n, x`` echo the full effective parameter
+    set.  Grid points whose stakes violate 0 < p < q < n, or whose corruption
+    lies outside [0, 1], are kept with ``valid`` false and the message of
+    :class:`~qdilemma.game.PayoffTable` or
+    :func:`~qdilemma.noise.check_corruption` as ``error`` instead of numbers.
+
+    The closed forms are evaluated as arrays over the whole grid, giving the
+    per-point scalar functions' results bit for bit.  For a corruption sweep
+    each row also carries simulated cross-checks: the mean payoff of a
+    mixed-class profile and of the all-flip profile on the corrupted input.
     The circuit and the payoff are linear in the input
     ``(1-x)|000><000| + x|111><111|``, so both are simulated once at ``x = 0``
     and ``x = 1`` and interpolated along the grid.
 
-    Raises on an out-of-range gamma or an empty grid; per-point constraint
-    violations are flagged on the record, not dropped.
+    Raises on an out-of-range gamma or an empty grid.
     """
     if swept not in SWEEPABLE:
         raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {swept!r}")
     _check_gamma(gamma)
-    grid = [float(v) for v in grid]
-    if not grid:
+    values = np.asarray(grid, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"sweep grid must be one-dimensional, got shape {values.shape}")
+    m = values.size
+    if not m:
         raise ValueError("empty sweep grid")
+    held = {"p": table.p, "q": table.q, "n": table.n, "x": x}
+    echo = {key: [value] * m for key, value in held.items()}
+    echo[swept] = values.tolist()
+    arrays = {key: np.full(m, value, dtype=float) for key, value in held.items()}
+    arrays[swept] = values
+    p, q, n, xs = arrays["p"], arrays["q"], arrays["n"], arrays["x"]
+
     if swept == "x":
         mixed0, mixed1 = (simulated_class_mean(("H", "I", "X"), table, end, gamma)
                           for end in (0.0, 1.0))
         flip0, flip1 = (simulated_class_mean(("X", "X", "X"), table, end, gamma)
                         for end in (0.0, 1.0))
 
-    records = []
-    for v in grid:
-        pp, qq, nn, xx = table.p, table.q, table.n, x
+    # invalid points may hold any numbers here; they are replaced below
+    with np.errstate(all="ignore"):
+        valid = (0.0 < p) & (p < q) & (q < n) & np.isfinite(n) & (0.0 <= xs) & (xs <= 1.0)
+        quantum = _quantum_ne(p, q, n, xs).tolist()
+        classical = _classical_ne(q, xs).tolist()
+        numerator, x_c = _crossing(p, q, n)
+        x_c = x_c.tolist()
         if swept == "x":
-            xx = v
-        elif swept == "n":
-            nn = v
+            sim_quantum = ((1.0 - xs) * mixed0 + xs * mixed1).tolist()
+            sim_classical = ((1.0 - xs) * flip0 + xs * flip1).tolist()
         else:
-            qq = v
+            sim_quantum, sim_classical = [None] * m, [None] * m
+
+    for k in np.flatnonzero(valid & (numerator <= 0.0)).tolist():
+        x_c[k] = None
+    errors = [None] * m
+    for k in np.flatnonzero(~valid).tolist():
+        quantum[k] = classical[k] = x_c[k] = sim_quantum[k] = sim_classical[k] = None
+        # the per-point constructors give the exact message
         try:
-            point = PayoffTable(pp, qq, nn)
-            check_corruption(xx)
+            PayoffTable(echo["p"][k], echo["q"][k], echo["n"][k])
+            check_corruption(echo["x"][k])
         except ValueError as exc:
-            records.append(
-                SweepRecord(swept=swept, value=v, p=pp, q=qq, n=nn, x=xx,
-                            valid=False, error=str(exc))
-            )
-            continue
-        sim_quantum = sim_classical = None
-        if swept == "x":
-            sim_quantum = (1.0 - xx) * mixed0 + xx * mixed1
-            sim_classical = (1.0 - xx) * flip0 + xx * flip1
-        records.append(
-            SweepRecord(
-                swept=swept,
-                value=v,
-                p=pp,
-                q=qq,
-                n=nn,
-                x=xx,
-                quantum_ne_mean=quantum_ne_payoff(point, xx),
-                classical_ne_mean=classical_ne_payoff(point, xx),
-                x_c=critical_corruption(point),
-                simulated_quantum_mean=sim_quantum,
-                simulated_classical_mean=sim_classical,
-            )
-        )
-    return records
+            errors[k] = str(exc)
+
+    columns = ([swept] * m, echo[swept], echo["p"], echo["q"], echo["n"], echo["x"], quantum,
+               classical, x_c, sim_quantum, sim_classical, valid.tolist(), errors)
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]

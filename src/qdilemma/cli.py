@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -18,6 +19,7 @@ import re
 import sys
 import tempfile
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -80,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_shared(args)
         payload = args.handler(args)
         emit(payload, args)
     except (ValueError, KeyError, OSError) as exc:
@@ -87,6 +90,16 @@ def main(argv=None) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
     return 0
+
+
+def _check_shared(args):
+    """Reject an out-of-range ``--gamma`` or ``--x`` whatever the command."""
+    for flag, check, value in (("--gamma", game._check_gamma, args.gamma),
+                               ("--x", noise.check_corruption, args.x)):
+        try:
+            check(value)
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
 
 
 #: Parameter columns that lead every CSV row, unless the row already carries them.
@@ -165,8 +178,7 @@ def cmd_sweep(args) -> dict:
     if stop < start:
         raise ValueError(f"inverted sweep range [{start}, {stop}]")
     grid = np.linspace(start, stop, args.grid)
-    records = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
-    rows = [dict(vars(r)) for r in records]
+    rows = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
     return _payload(args, rows, rows, swept=args.swept, start=start, stop=stop)
 
 
@@ -249,9 +261,58 @@ def _csv_cell(value) -> str:
         return str(value).lower()
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise ValueError(f"result holds the non-finite value {value!r}")
+            raise ValueError(f"non-finite value {value!r}")
         return format(value, ".12g")
     return str(value)
+
+
+def _csv_text(doc: dict) -> str:
+    """CSV of ``doc["rows"]``, led by the ``doc["params"]`` echo columns."""
+    rows = doc["rows"]
+    lead = [_csv_cell(v) for v in doc["params"].values()]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(doc["params"]) + list(rows[0]))
+    for row in rows:
+        # v - v == 0.0 holds for exactly the finite floats
+        writer.writerow(lead + [format(v, ".12g") if v.__class__ is float and v - v == 0.0
+                                else _csv_cell(v) for v in row.values()])
+    return buf.getvalue()
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """C-encoder of a container at ``depth`` that holds no container: each item
+    on its own line, indented for ``depth + 1``."""
+    return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json_text(node, depth: int = 0) -> str:
+    """``json.dumps(node, indent=2, allow_nan=False)``, byte for byte, for string keys.
+
+    Only the nesting is written here; each flat container (a record,
+    ``params``, an innermost tensor row) is one C-encoder call.
+    """
+    if isinstance(node, dict):
+        children, opening, closing = node.values(), "{", "}"
+    elif isinstance(node, (list, tuple)):
+        children, opening, closing = node, "[", "]"
+    else:
+        return _flat_encoder(depth)(node)
+    if not node:
+        return opening + closing
+    pad = "\n" + "  " * (depth + 1)
+    # an empty child container takes this path too, and is written as {} or []
+    if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, children))):
+        if opening == "[":
+            items = (_json_text(child, depth + 1) for child in node)
+        else:
+            items = (encode_basestring_ascii(key) + ": " + _json_text(child, depth + 1)
+                     for key, child in node.items())
+        body = ("," + pad).join(items)
+    else:
+        body = _flat_encoder(depth)(node)[1:-1]
+    return opening + pad + body + "\n" + "  " * depth + closing
 
 
 def _first_non_finite(node, path=""):
@@ -276,25 +337,22 @@ def emit(payload: dict, args):
     params = payload["params"]
     if args.fmt == "json":
         doc = {"params": params, "results": payload["results"]}
-        try:
-            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-        except ValueError:
-            # walk the document only on failure: sweeps emit thousands of records
-            found = _first_non_finite(doc)
-            if found is None:
-                raise
-            path, value = found
-            raise ValueError(f"result holds the non-finite value {value!r} at {path}") from None
+        encode = _json_text
     else:
         rows = payload["rows"]
-        echo = [c for c in _ECHO_COLUMNS if c not in rows[0]]
-        lead = [_csv_cell(params[c]) for c in echo]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(echo + list(rows[0]))
-        for row in rows:
-            writer.writerow(lead + [_csv_cell(v) for v in row.values()])
-        text = buf.getvalue()
+        doc = {"params": {c: params[c] for c in _ECHO_COLUMNS if c not in rows[0]}, "rows": rows}
+        encode = _csv_text
+    try:
+        text = encode(doc)
+    except ValueError:
+        # walk the document only on failure: sweeps emit thousands of records
+        found = _first_non_finite(doc)
+        if found is None:
+            raise
+        path, value = found
+        raise ValueError(f"result holds the non-finite value {float(value)!r} at {path}") from None
+    if args.fmt == "json":
+        text += "\n"
     if args.output:
         _write_atomic(args.output, text)
     else:

@@ -168,7 +168,14 @@ class PayoffVector:
 
     @property
     def mean(self) -> float:
-        return (self.player1 + self.player2 + self.player3) / 3
+        # Summed at 2**-e so that three payoffs near the float maximum cannot
+        # overflow.  e is 0 below 2**1022, and scaling by a power of two is
+        # exact in the normal range, so every finite unscaled mean is kept.
+        largest = max(abs(self.player1), abs(self.player2), abs(self.player3))
+        e = max(0, math.frexp(largest)[1] - 1022)
+        total = (math.ldexp(self.player1, -e) + math.ldexp(self.player2, -e)
+                 + math.ldexp(self.player3, -e))
+        return math.ldexp(total / 3, e)
 
 
 def profile_unitary(profile) -> np.ndarray:

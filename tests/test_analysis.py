@@ -10,6 +10,7 @@ from qdilemma.analysis import (
     CLASS_LABELS,
     CLASS_MULTISETS,
     REFERENCE_CLASS_MEANS,
+    SWEEP_COLUMNS,
     EquilibriumReport,
     classical_ne_payoff,
     critical_corruption,
@@ -21,6 +22,7 @@ from qdilemma.analysis import (
     sweep,
 )
 from qdilemma.game import PayoffTable
+from qdilemma.noise import check_corruption
 
 from helpers import random_payoff_table
 
@@ -202,52 +204,52 @@ class TestDominance:
 class TestSweep:
     def test_corruption_sweep_endpoints(self):
         records = sweep(TABLE, "x", [0.0, 1.0])
-        assert [r.value for r in records] == [0.0, 1.0]
-        assert records[0].quantum_ne_mean == pytest.approx(19 / 3, abs=1e-12)
-        assert records[0].classical_ne_mean == pytest.approx(2.0, abs=1e-12)
-        assert records[1].quantum_ne_mean == pytest.approx(-17 / 3, abs=1e-12)
-        assert records[1].classical_ne_mean == pytest.approx(0.0, abs=1e-12)
+        assert [r["value"] for r in records] == [0.0, 1.0]
+        assert records[0]["quantum_ne_mean"] == pytest.approx(19 / 3, abs=1e-12)
+        assert records[0]["classical_ne_mean"] == pytest.approx(2.0, abs=1e-12)
+        assert records[1]["quantum_ne_mean"] == pytest.approx(-17 / 3, abs=1e-12)
+        assert records[1]["classical_ne_mean"] == pytest.approx(0.0, abs=1e-12)
 
     def test_corruption_sweep_carries_simulated_cross_checks(self):
         for record in sweep(TABLE, "x", np.linspace(0, 1, 11)):
-            assert record.simulated_quantum_mean == pytest.approx(
-                record.quantum_ne_mean, abs=1e-10
+            assert record["simulated_quantum_mean"] == pytest.approx(
+                record["quantum_ne_mean"], abs=1e-10
             )
-            assert record.simulated_classical_mean == pytest.approx(
-                record.classical_ne_mean, abs=1e-10
+            assert record["simulated_classical_mean"] == pytest.approx(
+                record["classical_ne_mean"], abs=1e-10
             )
 
     def test_stake_sweep_raises_crossing_with_n(self):
         records = sweep(TABLE, "n", range(3, 101))
-        values = [r.x_c for r in records]
-        assert all(r.valid for r in records)
+        values = [r["x_c"] for r in records]
+        assert all(r["valid"] for r in records)
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_crossing_falls_as_q_approaches_n(self):
         records = sweep(TABLE, "q", np.linspace(1.5, 6.0, 10))
-        values = [r.x_c for r in records]
+        values = [r["x_c"] for r in records]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_q_sweep_reaches_no_advantage(self):
         # beyond q = (2n+p)/3 the crossing disappears but the table stays legal
         (record,) = sweep(TABLE, "q", [7.0])
-        assert record.valid
-        assert record.x_c is None
+        assert record["valid"]
+        assert record["x_c"] is None
 
     def test_classical_payoff_equals_q_on_pristine_source(self):
         for record in sweep(TABLE, "q", np.linspace(1.1, 8.9, 9), x=0.0):
-            assert record.classical_ne_mean == pytest.approx(record.value, abs=1e-12)
+            assert record["classical_ne_mean"] == pytest.approx(record["value"], abs=1e-12)
 
     def test_invalid_points_flagged_not_dropped(self):
         records = sweep(TABLE, "n", [1.5, 9.0])
-        assert [r.valid for r in records] == [False, True]
-        assert "0 < p < q < n" in records[0].error
-        assert records[0].quantum_ne_mean is None
-        assert records[0].n == 1.5
+        assert [r["valid"] for r in records] == [False, True]
+        assert "0 < p < q < n" in records[0]["error"]
+        assert records[0]["quantum_ne_mean"] is None
+        assert records[0]["n"] == 1.5
 
     def test_record_order_follows_grid_order(self):
         grid = [0.9, 0.1, 0.5]
-        assert [r.value for r in sweep(TABLE, "x", grid)] == grid
+        assert [r["value"] for r in sweep(TABLE, "x", grid)] == grid
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -267,9 +269,9 @@ class TestSweep:
         gamma = 0.7
         first, last = sweep(TABLE, "x", [0.0, 1.0], gamma=gamma)
         for record, x in ((first, 0.0), (last, 1.0)):
-            assert record.simulated_quantum_mean == simulated_class_mean(
+            assert record["simulated_quantum_mean"] == simulated_class_mean(
                 ("H", "I", "X"), TABLE, x, gamma)
-            assert record.simulated_classical_mean == simulated_class_mean(
+            assert record["simulated_classical_mean"] == simulated_class_mean(
                 ("X", "X", "X"), TABLE, x, gamma)
 
     @settings(deadline=None)
@@ -283,7 +285,68 @@ class TestSweep:
         table = PayoffTable(p, q, n)
         tol = 1e-12 * (1.0 + n)
         for record, x in zip(sweep(table, "x", xs, gamma=gamma), xs):
-            assert record.simulated_quantum_mean == pytest.approx(
+            assert record["simulated_quantum_mean"] == pytest.approx(
                 simulated_class_mean(("H", "I", "X"), table, x, gamma), abs=tol)
-            assert record.simulated_classical_mean == pytest.approx(
+            assert record["simulated_classical_mean"] == pytest.approx(
                 simulated_class_mean(("X", "X", "X"), table, x, gamma), abs=tol)
+
+
+def per_point_sweep(table, swept, grid, x, gamma):
+    """The per-point loop that ``sweep`` replaces: one PayoffTable, one
+    corruption check and the scalar closed forms per grid point."""
+    if swept == "x":
+        mixed = [simulated_class_mean(("H", "I", "X"), table, end, gamma) for end in (0.0, 1.0)]
+        flip = [simulated_class_mean(("X", "X", "X"), table, end, gamma) for end in (0.0, 1.0)]
+    rows = []
+    for v in grid:
+        v = float(v)
+        point = {"p": table.p, "q": table.q, "n": table.n, "x": x}
+        point[swept] = v
+        row = dict.fromkeys(SWEEP_COLUMNS)
+        row.update(point, swept=swept, value=v, valid=True)
+        try:
+            stakes = PayoffTable(point["p"], point["q"], point["n"])
+            xx = check_corruption(point["x"])
+        except ValueError as exc:
+            row.update(valid=False, error=str(exc))
+            rows.append(row)
+            continue
+        row.update(quantum_ne_mean=quantum_ne_payoff(stakes, xx),
+                   classical_ne_mean=classical_ne_payoff(stakes, xx),
+                   x_c=critical_corruption(stakes))
+        if swept == "x":
+            row.update(simulated_quantum_mean=(1.0 - xx) * mixed[0] + xx * mixed[1],
+                       simulated_classical_mean=(1.0 - xx) * flip[0] + xx * flip[1])
+        rows.append(row)
+    return rows
+
+
+#: Grid values on and around the bounds of 0 < p < q < n and [0, 1]; the
+#: names stand for the table's own stakes, and "tie" for the q at which the
+#: crossing's numerator 2n + p - 3q vanishes.
+EDGES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324,
+                         "p", "q", "n", "tie"])
+
+
+class TestColumnarSweep:
+    @settings(deadline=None)
+    @given(table=st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1.0, exclude_max=True),
+                           st.floats(1e-6, 1.0, exclude_max=True)),
+           swept=st.sampled_from(["x", "n", "q"]),
+           grid=st.lists(st.one_of(st.floats(), st.floats(-1.0, 2.0), st.floats(0.0, 1e3), EDGES),
+                         min_size=1, max_size=12),
+           x=st.one_of(st.floats(0.0, 1.0), EDGES),
+           gamma=st.floats(0.0, math.pi / 2))
+    def test_matches_the_per_point_loop_bit_for_bit(self, table, swept, grid, x, gamma):
+        n, q_frac, p_frac = table
+        table = PayoffTable(n * q_frac * p_frac, n * q_frac, n)
+        stakes = dict(vars(table), tie=(2.0 * table.n + table.p) / 3.0)
+        grid = [stakes.get(v, v) for v in grid]
+        x = stakes.get(x, x)
+        # repr tells -0.0 from 0.0 and compares the error strings too
+        assert repr(sweep(table, swept, grid, x=x, gamma=gamma)) == repr(
+            per_point_sweep(table, swept, grid, x, gamma))
+
+    def test_rejects_a_two_dimensional_grid(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            sweep(TABLE, "x", [[0.0, 1.0]])

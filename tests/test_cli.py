@@ -1,10 +1,14 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdilemma.cli import emit, main
 
@@ -205,6 +209,19 @@ class TestNonFiniteInputs:
         assert x_c == 0.5
         assert quantum == pytest.approx(6.67e307, rel=1e-3)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("argv", [("play", "HIX"), ("classes",), ("sweep", "x", "--grid", "3")])
+    def test_huge_stakes_are_answered_on_simulated_paths(self, capsys, argv, fmt):
+        # the mean of three payoffs near 1e308 overflows unscaled
+        code, out, err = run(capsys, *argv, "--n", "1e308", "--q", "3", "--format", fmt)
+        assert code == 0, err
+        assert err == ""
+        if fmt == "json":
+            text = json.dumps(json.loads(out)["results"])
+        else:
+            text = out
+        assert "6.66666666667e+307" in text or "6.666666666666666e+307" in text
+
     def test_infinite_stake_fails(self, capsys):
         code, out, err = run(capsys, "play", "XXX", "--n", "inf")
         assert code == 2
@@ -252,11 +269,81 @@ class TestEmitBackstop:
         assert capsys.readouterr().out == ""
         if fmt == "json":
             assert str(info.value).endswith("at results.report.quantum_ne_mean")
+        else:
+            assert str(info.value).endswith("at rows[0].quantum_ne_mean")
+
+    def test_csv_echo_cell_is_named(self, capsys):
+        code, out, err = run(capsys, "tomo", "forward", "class7_appendix", "--p", "nan",
+                             "--format", "csv")
+        assert_one_error(code, out, err, "non-finite value nan at params.p")
 
     def test_list_entries_are_indexed(self, capsys):
         payload = dict(self.PAYLOAD, results={"tensor": [[0.0, float("-inf")]]})
         with pytest.raises(ValueError, match=r"at results\.tensor\[0\]\[1\]$"):
             emit(payload, argparse.Namespace(fmt="json", output=None))
+
+
+class TestSharedFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["xc", "--gamma", "5"], "--gamma"),
+        (["xc", "--gamma", "nan"], "--gamma"),
+        (["tomo", "forward", "class7_appendix", "--x", "7"], "--x"),
+        (["sweep", "n", "--from", "3", "--to", "9", "--x", "nan"], "--x"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert code == 2
+        assert_one_error(code, out, err, f"error: {flag}: ")
+
+
+def json_docs():
+    """Recursive JSON-able documents: dicts, lists, tuples, empty containers and
+    str/int/float/bool/None leaves, numpy float64 among them."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(), finite, st.text(),
+                       finite.map(np.float64))
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children)), max_leaves=30)
+
+
+def emitted_json(doc) -> str:
+    payload = {"params": {"command": "test", "gamma": 1.0}, "results": doc, "rows": []}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(payload, argparse.Namespace(fmt="json", output=None))
+    return out.getvalue()
+
+
+def plant(node, value, data, path):
+    """``node`` with one leaf or empty container replaced by ``value``, and its key path."""
+    if isinstance(node, dict) and node:
+        key = data.draw(st.sampled_from(list(node)))
+        child, child_path = plant(node[key], value, data, f"{path}.{key}")
+        return {**node, key: child}, child_path
+    if isinstance(node, (list, tuple)) and node:
+        k = data.draw(st.integers(0, len(node) - 1))
+        child, child_path = plant(node[k], value, data, f"{path}[{k}]")
+        return [*node[:k], child, *node[k + 1:]], child_path
+    return value, path
+
+
+class TestJsonWriter:
+    @settings(deadline=None)
+    @given(doc=json_docs())
+    def test_equals_indented_dumps(self, doc):
+        want = json.dumps({"params": {"command": "test", "gamma": 1.0}, "results": doc},
+                          indent=2, allow_nan=False) + "\n"
+        assert emitted_json(doc) == want
+
+    @settings(deadline=None)
+    @given(doc=json_docs(), value=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
+           data=st.data())
+    def test_non_finite_value_is_refused_with_its_path(self, doc, value, data):
+        doc, path = plant(doc, value, data, "results")
+        with pytest.raises(ValueError) as info:
+            emitted_json(doc)
+        assert str(info.value) == f"result holds the non-finite value {float(value)!r} at {path}"
 
 
 ECHO = "p,q,n,x,gamma,seed"

@@ -2,6 +2,8 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdilemma import linalg
 from qdilemma.game import (
@@ -182,6 +184,37 @@ class TestPayoff:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError, match="probability"):
             payoff(np.full(8, 0.25), TABLE)
+
+    @pytest.mark.parametrize("profile, mean", [("HIX", 1e308 / 3 * 2), ("IIX", -1e308 / 3 * 2),
+                                               ("XXX", 3.0)])
+    def test_huge_stakes_are_answered(self, profile, mean):
+        # the sum of the three payoffs overflows before the division by 3
+        table = PayoffTable(1.0, 3.0, 1e308)
+        pay = payoff(play(parse_profile(profile)), table)
+        assert pay.mean == pytest.approx(mean, rel=1e-15)
+
+    @settings(deadline=None)
+    @given(n=st.floats(2.0**1020, 1.7976931348623157e308),
+           q_frac=st.floats(1e-300, 1.0, exclude_min=True, exclude_max=True),
+           p_frac=st.floats(1e-300, 1.0, exclude_min=True, exclude_max=True),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).filter(any))
+    def test_mean_is_exact_wherever_unscaled_is_finite(self, n, q_frac, p_frac, weights):
+        q = n * q_frac
+        table = PayoffTable(q * p_frac, q, n)
+        probs = np.array(weights) / sum(weights)
+        if abs(probs.sum() - 1.0) > 1e-10:
+            return
+        pay = payoff(probs, table)
+        players = [pay.player1, pay.player2, pay.player3]
+        assert all(np.isfinite([*players, pay.mean]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            unscaled = probs @ table.outcome_payoffs()
+            unscaled_mean = (unscaled[0] + unscaled[1] + unscaled[2]) / 3
+        for got, want in zip(players, unscaled):
+            if np.isfinite(want):
+                assert got == want
+        if np.isfinite(unscaled).all() and np.isfinite(unscaled_mean):
+            assert pay.mean == unscaled_mean
 
 
 class TestPayoffTable:
