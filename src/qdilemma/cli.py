@@ -93,9 +93,10 @@ def main(argv=None) -> int:
 
 
 def _check_shared(args):
-    """Reject an out-of-range ``--gamma`` or ``--x`` whatever the command."""
+    """Reject an out-of-range ``--gamma``, ``--x`` or stake table whatever the command."""
     for flag, check, value in (("--gamma", game._check_gamma, args.gamma),
-                               ("--x", noise.check_corruption, args.x)):
+                               ("--x", noise.check_corruption, args.x),
+                               ("--p/--q/--n", _table, args)):
         try:
             check(value)
         except ValueError as exc:

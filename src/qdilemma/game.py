@@ -107,10 +107,14 @@ def _check_gamma(gamma: float):
         raise ValueError(f"gamma must lie in [0, pi/2], got {gamma}")
 
 
+#: X⊗X⊗X, the operator the entangler mixes with the identity.
+_XXX = kron3(X, X, X)
+
+
 def entangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Three-qubit entangling gate cos(g/2) I + i sin(g/2) X⊗X⊗X."""
     _check_gamma(gamma)
-    return np.cos(gamma / 2) * np.eye(8, dtype=complex) + 1j * np.sin(gamma / 2) * kron3(X, X, X)
+    return np.cos(gamma / 2) * np.eye(8, dtype=complex) + 1j * np.sin(gamma / 2) * _XXX
 
 
 def disentangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:

@@ -68,24 +68,29 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
     ``shots`` outcomes are drawn from its two-point (+1/-1) distribution under
     ``rho`` and averaged.  Every string gets its own counter-based stream
     keyed by (seed, string index), so the result is reproducible and
-    independent of evaluation order.
+    independent of evaluation order.  The seed is reduced mod 2**64 exactly,
+    so any integer, negative ones included, is a distinct valid seed.
     """
     rho = validate_density_matrix(rho, qubits=3)
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be a positive integer, got {shots}")
-    exact = expectations(rho)
-    key = int(seed) % 2**64
-    t = np.empty((4, 4, 4))
-    t[0, 0, 0] = 1.0
-    for flat, idx in enumerate(product(range(4), repeat=3)):
-        if idx == (0, 0, 0):
-            continue
-        p_plus = min(max((1.0 + exact[idx]) / 2.0, 0.0), 1.0)
-        rng = np.random.Generator(np.random.Philox(key=[key, flat]))
-        wins = int(rng.binomial(shots, p_plus))
-        t[idx] = (2.0 * wins - shots) / shots
-    return t
+    p_plus = np.clip((1.0 + expectations(rho).ravel()) / 2.0, 0.0, 1.0)
+    bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    # Re-keying one bit generator to counter 0 and an empty buffer gives the
+    # stream a fresh Philox(key=[seed, flat]) would; the Generator's binomial
+    # cache depends only on (shots, p), so it may carry over between strings.
+    fresh = bits.state
+    key = fresh["state"]["key"]
+    t = np.empty(64)
+    t[0] = 1.0
+    for flat in range(1, 64):
+        key[1] = flat
+        bits.state = fresh
+        wins = int(rng.binomial(shots, p_plus[flat]))
+        t[flat] = (2.0 * wins - shots) / shots
+    return t.reshape(4, 4, 4)
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:

@@ -1,6 +1,15 @@
 """Shared random-state builders for the test suite."""
 
+import os
+
 import numpy as np
+
+import qdilemma
+
+
+def subprocess_env():
+    """Environment for a child interpreter that imports this ``qdilemma``."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qdilemma.__file__)))
 
 
 def crandn(shape, rng):

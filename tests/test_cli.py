@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdilemma.cli import emit, main
+
+from helpers import subprocess_env
 
 
 def run(capsys, *argv):
@@ -173,6 +177,16 @@ class TestTomo:
         assert first == second
         assert first[0] == 0
 
+    def test_negative_seed_is_quiet_and_distinct(self):
+        # a subprocess, so that stderr holds whatever a user would see
+        outputs = [subprocess.run([sys.executable, "-m", "qdilemma.cli", "tomo", "estimate",
+                                   "HIX", "--seed", seed], capture_output=True, text=True,
+                                  env=subprocess_env(), check=False)
+                   for seed in ("-1", "0")]
+        for proc in outputs:
+            assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(outputs[0].stdout)["results"] != json.loads(outputs[1].stdout)["results"]
+
     def test_reconstruct_pipeline(self, capsys, tmp_path):
         tensor_file = tmp_path / "tensor.json"
         code, _, err = run(capsys, "tomo", "forward", "XIX", "--output", str(tensor_file))
@@ -273,9 +287,13 @@ class TestEmitBackstop:
             assert str(info.value).endswith("at rows[0].quantum_ne_mean")
 
     def test_csv_echo_cell_is_named(self, capsys):
-        code, out, err = run(capsys, "tomo", "forward", "class7_appendix", "--p", "nan",
-                             "--format", "csv")
-        assert_one_error(code, out, err, "non-finite value nan at params.p")
+        # the CLI refuses a non-finite stake up front, so the echo backstop is
+        # reached only through emit
+        payload = dict(self.PAYLOAD, params=dict(self.PAYLOAD["params"], p=float("nan")),
+                       rows=[{"x_c": 0.4}])
+        with pytest.raises(ValueError, match=r"non-finite value nan at params\.p$"):
+            emit(payload, argparse.Namespace(fmt="csv", output=None))
+        assert capsys.readouterr().out == ""
 
     def test_list_entries_are_indexed(self, capsys):
         payload = dict(self.PAYLOAD, results={"tensor": [[0.0, float("-inf")]]})
@@ -289,6 +307,10 @@ class TestSharedFlags:
         (["xc", "--gamma", "nan"], "--gamma"),
         (["tomo", "forward", "class7_appendix", "--x", "7"], "--x"),
         (["sweep", "n", "--from", "3", "--to", "9", "--x", "nan"], "--x"),
+        (["tomo", "forward", "class7_appendix", "--p", "nan"], "--p/--q/--n"),
+        (["tomo", "estimate", "HIX", "--q", "0.5"], "--p/--q/--n"),
+        (["tomo", "fidelity", "class7_appendix", "101", "--n", "inf"], "--p/--q/--n"),
+        (["xc", "--p", "3"], "--p/--q/--n"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):

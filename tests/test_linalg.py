@@ -39,6 +39,39 @@ class TestKron:
         with pytest.raises(ValueError, match="cap"):
             kron(np.eye(16), linalg.I2)
 
+    @staticmethod
+    def factors(size, rng):
+        return {
+            "complex": rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)),
+            "real": rng.normal(size=(size, size)),
+            "identity": np.eye(size),
+        }
+
+    def test_matches_np_kron_byte_for_byte(self, rng):
+        pool = [m for size in (2, 4) for m in self.factors(size, rng).values()]
+        for a in pool:
+            for b in pool:
+                expected = np.kron(a, b)
+                got = kron(a, b)
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    def test_kron3_matches_np_kron_byte_for_byte(self, rng):
+        small = list(self.factors(2, rng).values()) + [linalg.X, linalg.Y, linalg.H]
+        for a in small:
+            for b in small:
+                for c in small + list(self.factors(4, rng).values()):
+                    expected = np.kron(np.kron(a, b), c)
+                    assert kron3(a, b, c).tobytes() == expected.tobytes()
+
+    def test_sixteen_dimension_cap(self):
+        assert kron(np.eye(4), np.eye(4)).shape == (16, 16)
+        with pytest.raises(ValueError, match="16-dimensional cap"):
+            kron(np.eye(4), np.eye(8))
+        with pytest.raises(ValueError, match="16-dimensional cap"):
+            kron3(np.eye(4), np.eye(4), linalg.I2)
+
 
 class TestDagger:
     def test_identity(self):

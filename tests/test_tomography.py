@@ -1,8 +1,11 @@
+import hashlib
 import warnings
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdilemma import linalg
 from qdilemma.game import evolve, parse_profile
@@ -132,6 +135,51 @@ class TestEstimateExpectations:
     def test_rejects_zero_shots(self, rng):
         with pytest.raises(ValueError, match="shots"):
             estimate_expectations(random_mixed_density(rng), shots=0)
+
+
+def fresh_stream_estimate(rho, shots, seed):
+    """Reference estimator: a new Philox keyed [seed mod 2**64, string index] per string."""
+    exact = expectations(rho)
+    key = seed % 2**64
+    t = np.empty((4, 4, 4))
+    t[0, 0, 0] = 1.0
+    for flat, idx in enumerate(product(range(4), repeat=3)):
+        if idx == (0, 0, 0):
+            continue
+        p_plus = min(max((1.0 + exact[idx]) / 2.0, 0.0), 1.0)
+        rng = np.random.Generator(np.random.Philox(key=np.array([key, flat], dtype=np.uint64)))
+        wins = int(rng.binomial(shots, p_plus))
+        t[idx] = (2.0 * wins - shots) / shots
+    return t
+
+
+class TestSeededStream:
+    @settings(deadline=None, max_examples=40)
+    @given(state_seed=st.integers(0, 2**32 - 1),
+           shots=st.one_of(st.sampled_from([1, 7, 8192, 10**6, 2**31 - 1]),
+                           st.integers(1, 10**7)),
+           seed=st.integers(-2**70, 2**70))
+    def test_matches_a_fresh_stream_per_string(self, state_seed, shots, seed):
+        rho = random_mixed_density(np.random.default_rng(state_seed))
+        expected = fresh_stream_estimate(rho, shots, seed)
+        assert estimate_expectations(rho, shots, seed).tobytes() == expected.tobytes()
+
+    def test_golden_digest(self):
+        # SHA-256 of the tensor bytes, unchanged since the per-string generators
+        t = estimate_expectations(evolve(parse_profile("HIX")), 8192, 42)
+        assert hashlib.sha256(t.tobytes()).hexdigest() == (
+            "3d89da3b9bb17076444b54ff3d31b66562770d83857b887abd1e3e807ebb479c")
+
+    def test_negative_seed_is_its_own_stream(self):
+        rho = evolve(parse_profile("HIX"))
+        minus_one = estimate_expectations(rho, 8192, -1)
+        assert not np.array_equal(minus_one, estimate_expectations(rho, 8192, 0))
+        assert np.array_equal(minus_one, estimate_expectations(rho, 8192, 2**64 - 1))
+
+    def test_seeds_above_2_63_do_not_collide(self):
+        rho = evolve(parse_profile("HIX"))
+        assert not np.array_equal(estimate_expectations(rho, 8192, 2**63),
+                                  estimate_expectations(rho, 8192, 2**63 + 1))
 
 
 class TestFidelity:
