@@ -8,7 +8,6 @@ class simulates to its reference mean payoff on the pristine input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -33,8 +32,6 @@ CLASS_MULTISETS = {
     "X": ("H", "I", "I"),
 }
 
-CLASS_LABELS = tuple(CLASS_MULTISETS)
-
 #: Reference per-class mean payoffs on a pristine source with the default
 #: (p, q, n) = (1, 2, 9) stakes, quoted to the precision of the source table.
 REFERENCE_CLASS_MEANS = {
@@ -53,22 +50,10 @@ REFERENCE_CLASS_MEANS = {
 #: Absolute tolerance separating "tie" from a strict payoff advantage.
 TIE_TOL = 1e-12
 
-QUANTUM = "quantum"
-CLASSICAL = "classical"
-TIE = "tie"
 
-
-@dataclass(frozen=True)
-class StrategyClass:
-    """One census class: a strategy multiset and all of its orderings."""
-
-    label: str
-    multiset: tuple[str, str, str]
-    configurations: tuple[tuple[str, str, str], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.configurations)
+def class_size(multiset) -> int:
+    """Number of ordered profiles in a class: the distinct orderings of its multiset."""
+    return len(set(permutations(multiset)))
 
 
 def simulated_class_mean(multiset, table: PayoffTable, x: float = 0.0,
@@ -79,20 +64,6 @@ def simulated_class_mean(multiset, table: PayoffTable, x: float = 0.0,
     itself serves as the representative profile.
     """
     return mean_payoff(multiset, table, corrupted_input(x), gamma)
-
-
-def label_classes():
-    """Map every strategy multiset to its census label."""
-    return {multiset: label for label, multiset in CLASS_MULTISETS.items()}
-
-
-def enumerate_classes():
-    """The ten strategy classes partitioning all 27 ordered profiles, labeled I..X."""
-    return [
-        StrategyClass(label=label, multiset=multiset,
-                      configurations=tuple(sorted(set(permutations(multiset)))))
-        for label, multiset in CLASS_MULTISETS.items()
-    ]
 
 
 def _scaled_stakes(p, q, n):
@@ -151,31 +122,21 @@ def critical_corruption(table: PayoffTable) -> float | None:
     return float(x_c) if numerator > 0.0 else None
 
 
-@dataclass(frozen=True)
-class EquilibriumReport:
-    """Both equilibrium payoffs at one corruption level and which side leads."""
+def dominance(table: PayoffTable, x: float) -> dict:
+    """Compare the two equilibrium payoffs at corruption ``x``.
 
-    x: float
-    quantum_ne_mean: float
-    classical_ne_mean: float
-    dominant: str
-
-    def __post_init__(self):
-        if self.dominant not in (QUANTUM, CLASSICAL, TIE):
-            raise ValueError(f"unknown dominance verdict {self.dominant!r}")
-
-
-def dominance(table: PayoffTable, x: float) -> EquilibriumReport:
-    """Compare the two equilibrium payoffs at corruption ``x``."""
+    Returns ``{"x", "quantum_ne_mean", "classical_ne_mean", "dominant"}`` in
+    that key order; ``dominant`` is ``"quantum"``, ``"classical"`` or ``"tie"``.
+    """
     qu = quantum_ne_payoff(table, x)
     cl = classical_ne_payoff(table, x)
     if qu > cl + TIE_TOL:
-        verdict = QUANTUM
+        verdict = "quantum"
     elif cl > qu + TIE_TOL:
-        verdict = CLASSICAL
+        verdict = "classical"
     else:
-        verdict = TIE
-    return EquilibriumReport(x=x, quantum_ne_mean=qu, classical_ne_mean=cl, dominant=verdict)
+        verdict = "tie"
+    return {"x": x, "quantum_ne_mean": qu, "classical_ne_mean": cl, "dominant": verdict}
 
 
 SWEEPABLE = ("x", "n", "q")

@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -85,11 +84,15 @@ def main(argv=None) -> int:
         _check_shared(args)
         payload = args.handler(args)
         emit(payload, args)
-    except (ValueError, KeyError, OSError) as exc:
+    except OSError as exc:
+        # args[0] of an OSError is its errno; the path and the OS message say what failed
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+    except (ValueError, KeyError) as exc:
         message = exc.args[0] if exc.args else exc
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-    return 0
+    else:
+        return 0
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _check_shared(args):
@@ -155,12 +158,12 @@ def cmd_classes(args) -> dict:
     table = _table(args)
     rows = [
         {
-            "label": cls.label,
-            "multiset": "".join(cls.multiset),
-            "size": cls.size,
-            "mean_payoff": analysis.simulated_class_mean(cls.multiset, table, args.x, args.gamma),
+            "label": label,
+            "multiset": "".join(multiset),
+            "size": analysis.class_size(multiset),
+            "mean_payoff": analysis.simulated_class_mean(multiset, table, args.x, args.gamma),
         }
-        for cls in analysis.enumerate_classes()
+        for label, multiset in analysis.CLASS_MULTISETS.items()
     ]
     return _payload(args, rows, rows)
 
@@ -178,7 +181,10 @@ def cmd_sweep(args) -> dict:
         raise ValueError("empty sweep range: --grid must be at least 1")
     if stop < start:
         raise ValueError(f"inverted sweep range [{start}, {stop}]")
-    grid = np.linspace(start, stop, args.grid)
+    try:
+        grid = np.linspace(start, stop, args.grid)
+    except ValueError as exc:
+        raise ValueError(f"--grid: {exc}") from None
     rows = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
     return _payload(args, rows, rows, swept=args.swept, start=start, stop=stop)
 
@@ -187,13 +193,9 @@ def cmd_xc(args) -> dict:
     table = _table(args)
     x_c = analysis.critical_corruption(table)
     report = analysis.dominance(table, args.x)
-    results = {
-        "x_c": x_c,
-        "no_advantage": x_c is None,
-        "report": asdict(report),
-    }
-    row = {"x_c": x_c, "no_advantage": x_c is None, "quantum_ne_mean": report.quantum_ne_mean,
-           "classical_ne_mean": report.classical_ne_mean, "dominant": report.dominant}
+    results = {"x_c": x_c, "no_advantage": x_c is None, "report": report}
+    row = {"x_c": x_c, "no_advantage": x_c is None, "quantum_ne_mean": report["quantum_ne_mean"],
+           "classical_ne_mean": report["classical_ne_mean"], "dominant": report["dominant"]}
     return _payload(args, results, [row])
 
 
@@ -243,7 +245,10 @@ def cmd_tomo(args) -> dict:
         return _tensor_payload(args, t, token)
     # reconstruct: token is a JSON file from a previous forward/estimate run
     with open(token, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{token}: not a JSON file: {exc}") from None
     try:
         tensor = np.array(doc["results"]["tensor"], dtype=float)
     except (KeyError, TypeError):
@@ -362,14 +367,18 @@ def emit(payload: dict, args):
 
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qdilemma-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qdilemma-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        # name the requested path, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import I2, X, dagger, kron, kron3, max_abs
+from .linalg import I2, H, X, dagger, kron, kron3, max_abs
 
 #: Entanglement strength giving maximal correlation.
 DEFAULT_GAMMA = np.pi / 2
@@ -28,49 +28,17 @@ NEG_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """One player's move.
-
-    ``"I"`` stays home, ``"X"`` goes to the party, ``"H"`` goes with half
-    probability, and ``"U"`` is a general single-qubit unitary parametrized by
-    three angles.
-    """
-
-    kind: str
-    theta: float = 0.0
-    phi: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("I", "H", "X", "U"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-
-    @classmethod
-    def general(cls, theta: float, phi: float = 0.0, lam: float = 0.0) -> "Strategy":
-        return cls("U", theta, phi, lam)
+#: Each player's move as its 2x2 gate: ``"I"`` stays home, ``"X"`` goes to
+#: the party, ``"H"`` goes with half probability.
+GATES = {"I": I2, "H": H, "X": X}
 
 
-IDENTITY = Strategy("I")
-HADAMARD = Strategy("H")
-FLIP = Strategy("X")
-
-
-def as_strategy(s) -> Strategy:
-    """Coerce a `Strategy` or one of the letters I/H/X."""
-    if isinstance(s, Strategy):
-        return s
-    if isinstance(s, str) and s in ("I", "H", "X"):
-        return Strategy(s)
-    raise ValueError(f"not a strategy: {s!r}")
-
-
-def parse_profile(text: str):
-    """Parse a profile string like ``"XIX"``; the leftmost letter is player 1."""
+def parse_profile(text: str) -> tuple[str, str, str]:
+    """Parse a profile string like ``"XIX"`` into upper-case letters; the leftmost is player 1."""
     letters = text.upper()
-    if len(letters) != 3 or any(c not in "IHX" for c in letters):
+    if len(letters) != 3 or any(c not in GATES for c in letters):
         raise ValueError(f"profile must be three letters from I/H/X, got {text!r}")
-    return tuple(Strategy(c) for c in letters)
+    return tuple(letters)
 
 
 def general_unitary(theta: float, phi: float = 0.0, lam: float = 0.0) -> np.ndarray:
@@ -85,16 +53,12 @@ def general_unitary(theta: float, phi: float = 0.0, lam: float = 0.0) -> np.ndar
     )
 
 
-def strategy_unitary(s) -> np.ndarray:
-    """The 2x2 gate a strategy applies to its player's qubit."""
-    s = as_strategy(s)
-    if s.kind == "I":
-        return I2
-    if s.kind == "H":
-        return linalg.H
-    if s.kind == "X":
-        return X
-    return general_unitary(s.theta, s.phi, s.lam)
+def strategy_unitary(letter: str) -> np.ndarray:
+    """The 2x2 gate a strategy letter applies to its player's qubit."""
+    try:
+        return GATES[letter]
+    except (KeyError, TypeError):
+        raise ValueError(f"not a strategy: {letter!r}") from None
 
 
 def rx(angle: float) -> np.ndarray:
@@ -233,14 +197,6 @@ def mean_payoff(profile, table: PayoffTable, rho: np.ndarray | None = None,
     return payoff(play(profile, rho, gamma), table).mean
 
 
-@dataclass(frozen=True, eq=False)
-class GateStep:
-    """One gate of the entangler decomposition, as the full 8x8 matrix it applies."""
-
-    name: str
-    matrix: np.ndarray
-
-
 # Two-qubit CNOTs in the |ab> basis (a the more significant bit):
 # _CNOT_CTRL_FIRST flips b when a=1; _CNOT_CTRL_SECOND flips a when b=1.
 _CNOT_CTRL_FIRST = np.array(
@@ -254,27 +210,20 @@ _CNOT_CTRL_SECOND = np.array(
 def decompose_entangler():
     """Five-gate hardware realization of the maximal entangler, in application order.
 
-    One middle-qubit rotation and four CNOTs; their ordered product equals
+    One middle-qubit rotation and four CNOTs, each a ``(name, matrix)`` pair
+    with the full 8x8 matrix it applies; their ordered product equals
     ``entangler(pi/2)`` up to a global phase.
     """
     cnot_1_0 = kron(_CNOT_CTRL_SECOND, I2)  # control qubit 1, target qubit 0
     cnot_1_2 = kron(I2, _CNOT_CTRL_FIRST)  # control qubit 1, target qubit 2
     rot = kron3(I2, rx(-np.pi / 2), I2)
     return [
-        GateStep("cnot q1->q0", cnot_1_0),
-        GateStep("cnot q1->q2", cnot_1_2),
-        GateStep("rx(-pi/2) q1", rot),
-        GateStep("cnot q1->q0", cnot_1_0),
-        GateStep("cnot q1->q2", cnot_1_2),
+        ("cnot q1->q0", cnot_1_0),
+        ("cnot q1->q2", cnot_1_2),
+        ("rx(-pi/2) q1", rot),
+        ("cnot q1->q0", cnot_1_0),
+        ("cnot q1->q2", cnot_1_2),
     ]
-
-
-def compose(steps) -> np.ndarray:
-    """Product of gate steps applied left to right (first element acts first)."""
-    out = np.eye(steps[0].matrix.shape[0], dtype=complex)
-    for step in steps:
-        out = step.matrix @ out
-    return out
 
 
 def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:

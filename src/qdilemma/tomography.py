@@ -73,8 +73,9 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
     """
     rho = validate_density_matrix(rho, qubits=3)
     shots = int(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots}")
+    # the binomial draw takes a C long
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"--shots: shots must be an integer in [1, 2**63 - 1], got {shots}")
     p_plus = np.clip((1.0 + expectations(rho).ravel()) / 2.0, 0.0, 1.0)
     bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
@@ -157,7 +158,10 @@ def parse_density_text(text: str) -> np.ndarray:
 def read_density_matrix(path) -> np.ndarray:
     """Read a density matrix from a text file, reporting (not repairing) defects."""
     with open(path, encoding="utf-8") as fh:
-        rho = parse_density_text(fh.read())
+        try:
+            rho = parse_density_text(fh.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     _report_deviations(rho, str(path))
     return rho
 

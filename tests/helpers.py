@@ -51,6 +51,14 @@ def oracle_partial_trace_last(rho):
     return out
 
 
+def ordered_product(steps):
+    """Product of ``(name, matrix)`` gate steps, the first step acting first."""
+    out = np.eye(8, dtype=complex)
+    for _, matrix in steps:
+        out = matrix @ out
+    return out
+
+
 def oracle_game_probs(letters, rho, gamma):
     """Brute-force outcome distribution built from scratch with numpy only."""
     gates = {

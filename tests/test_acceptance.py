@@ -9,17 +9,16 @@ from itertools import product
 import numpy as np
 
 from qdilemma.analysis import (
+    CLASS_MULTISETS,
     REFERENCE_CLASS_MEANS,
     classical_ne_payoff,
     critical_corruption,
     dominance,
-    enumerate_classes,
     quantum_ne_payoff,
     simulated_class_mean,
 )
 from qdilemma.game import (
     PayoffTable,
-    compose,
     decompose_entangler,
     entangler,
     global_phase_distance,
@@ -35,7 +34,7 @@ from qdilemma.tomography import (
     reconstruct,
 )
 
-from helpers import random_payoff_table, random_pure_density
+from helpers import ordered_product, random_payoff_table, random_pure_density
 
 TABLE = PayoffTable()
 
@@ -46,8 +45,8 @@ def _passed(number, text):
 
 def test_criterion_1_class_census_payoffs():
     """All ten class payoffs on a pristine source match the reference column."""
-    classes = enumerate_classes()
-    simulated = {c.label: simulated_class_mean(c.multiset, TABLE, x=0.0) for c in classes}
+    simulated = {label: simulated_class_mean(multiset, TABLE, x=0.0)
+                 for label, multiset in CLASS_MULTISETS.items()}
 
     expected = sorted(REFERENCE_CLASS_MEANS.values())
     observed = sorted(simulated.values())
@@ -85,7 +84,7 @@ def test_criterion_4_reference_state_fidelity():
 
 def test_criterion_5_entangler_decomposition():
     """The five-gate product reproduces the maximal entangler up to global phase."""
-    u = compose(decompose_entangler())
+    u = ordered_product(decompose_entangler())
     assert global_phase_distance(u, entangler(np.pi / 2)) <= 1e-12
     psi = u @ basis_state("000")
     expected = (basis_state("000") + 1j * basis_state("111")) / np.sqrt(2)
@@ -132,7 +131,7 @@ def test_criterion_8_dominance_boundary():
     for _ in range(200):
         table = random_payoff_table(rng)
         x = rng.uniform(np.nextafter(0.5, 1.0), 1.0)
-        assert dominance(table, x).dominant != "quantum"
+        assert dominance(table, x)["dominant"] != "quantum"
     _passed(8, "crossing < 0.5, strictly increasing in n, never quantum past 0.5")
 
 

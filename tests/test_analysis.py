@@ -1,5 +1,5 @@
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -7,16 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdilemma.analysis import (
-    CLASS_LABELS,
     CLASS_MULTISETS,
     REFERENCE_CLASS_MEANS,
     SWEEP_COLUMNS,
-    EquilibriumReport,
+    class_size,
     classical_ne_payoff,
     critical_corruption,
     dominance,
-    enumerate_classes,
-    label_classes,
     quantum_ne_payoff,
     simulated_class_mean,
     sweep,
@@ -31,47 +28,46 @@ TABLE = PayoffTable()
 
 class TestEnumerateClasses:
     def test_census(self):
-        classes = enumerate_classes()
-        assert len(classes) == 10
-        assert sum(c.size for c in classes) == 27
-        sizes = sorted(c.size for c in classes)
-        assert sizes == [1, 1, 1, 3, 3, 3, 3, 3, 3, 6]
+        sizes = [class_size(m) for m in CLASS_MULTISETS.values()]
+        assert len(sizes) == 10
+        assert sum(sizes) == 27
+        assert sorted(sizes) == [1, 1, 1, 3, 3, 3, 3, 3, 3, 6]
 
     def test_labels_cover_i_through_x(self):
-        labels = [c.label for c in enumerate_classes()]
-        assert labels == list(CLASS_LABELS)
+        assert list(CLASS_MULTISETS) == ["I", "II", "III", "IV", "V", "VI", "VII", "VIII",
+                                         "IX", "X"]
 
     def test_single_size_six_class_is_all_distinct(self):
-        (big,) = [c for c in enumerate_classes() if c.size == 6]
-        assert big.multiset == ("H", "I", "X")
-        assert len(set(big.configurations)) == 6
+        (big,) = [m for m in CLASS_MULTISETS.values() if class_size(m) == 6]
+        assert big == ("H", "I", "X")
 
     def test_uniform_classes(self):
-        uniform = {c.multiset for c in enumerate_classes() if c.size == 1}
+        uniform = {m for m in CLASS_MULTISETS.values() if class_size(m) == 1}
         assert uniform == {("H", "H", "H"), ("I", "I", "I"), ("X", "X", "X")}
+
+    def test_classes_partition_the_27_profiles(self):
+        sorted_profiles = [tuple(sorted(profile)) for profile in product("IHX", repeat=3)]
+        for multiset in CLASS_MULTISETS.values():
+            assert sorted_profiles.count(multiset) == class_size(multiset)
 
 
 class TestLabelClasses:
     def test_anchors(self):
-        labels = label_classes()
-        assert labels[("X", "X", "X")] == "IV"
-        assert labels[("I", "I", "I")] == "V"
-        assert labels[("I", "X", "X")] == "VII"
-        assert labels[("H", "I", "X")] == "VIII"
+        assert CLASS_MULTISETS["IV"] == ("X", "X", "X")
+        assert CLASS_MULTISETS["V"] == ("I", "I", "I")
+        assert CLASS_MULTISETS["VII"] == ("I", "X", "X")
+        assert CLASS_MULTISETS["VIII"] == ("H", "I", "X")
 
     def test_double_hadamard_with_identity_matches_reference(self):
-        labels = label_classes()
-        assert labels[("H", "H", "I")] == "IX"
+        assert CLASS_MULTISETS["IX"] == ("H", "H", "I")
         assert simulated_class_mean(("H", "H", "I"), TABLE) == pytest.approx(4.75, abs=1e-12)
 
     def test_tied_pair_convention(self):
-        labels = label_classes()
-        assert labels[("H", "X", "X")] == "III"
-        assert labels[("H", "I", "I")] == "X"
+        assert CLASS_MULTISETS["III"] == ("H", "X", "X")
+        assert CLASS_MULTISETS["X"] == ("H", "I", "I")
 
     def test_every_class_reproduces_reference_mean(self):
-        labels = label_classes()
-        for multiset, label in labels.items():
+        for label, multiset in CLASS_MULTISETS.items():
             simulated = simulated_class_mean(multiset, TABLE)
             assert simulated == pytest.approx(REFERENCE_CLASS_MEANS[label], abs=5e-3)
 
@@ -157,7 +153,7 @@ class TestCriticalCorruption:
         assert critical_corruption(table) == 0.5
         assert quantum_ne_payoff(table, 0.0) == pytest.approx(1e308 / 3 * 2, rel=1e-15)
         assert math.isfinite(quantum_ne_payoff(table, 1.0))
-        assert dominance(table, 0.0).dominant == "quantum"
+        assert dominance(table, 0.0)["dominant"] == "quantum"
 
     def test_rounds_to_half_near_n_1e17(self):
         # x_c < 1/2 exactly; in floating point it reaches 1/2 near n = 1e17
@@ -167,19 +163,19 @@ class TestCriticalCorruption:
 
 class TestDominance:
     def test_low_corruption_favors_quantum(self):
-        assert dominance(TABLE, 0.2).dominant == "quantum"
+        assert dominance(TABLE, 0.2)["dominant"] == "quantum"
 
     def test_high_corruption_favors_classical(self):
-        assert dominance(TABLE, 0.6).dominant == "classical"
+        assert dominance(TABLE, 0.6)["dominant"] == "classical"
 
     def test_crossing_is_a_tie(self):
-        assert dominance(TABLE, 13 / 30).dominant == "tie"
+        assert dominance(TABLE, 13 / 30)["dominant"] == "tie"
 
     def test_never_quantum_past_half(self, rng):
         for _ in range(100):
             table = random_payoff_table(rng)
             x = rng.uniform(0.5, 1.0)
-            assert dominance(table, x).dominant != "quantum"
+            assert dominance(table, x)["dominant"] != "quantum"
 
     @settings(deadline=None)
     @given(log_n=st.floats(-5.0, 307.0), q_frac=st.floats(1e-6, 1.0, exclude_max=True),
@@ -188,17 +184,14 @@ class TestDominance:
     def test_never_quantum_past_half_at_any_scale(self, log_n, q_frac, p_frac, x):
         n = 10.0 ** log_n
         table = PayoffTable(n * q_frac * p_frac, n * q_frac, n)
-        assert dominance(table, x).dominant != "quantum"
+        assert dominance(table, x)["dominant"] != "quantum"
 
     def test_report_echoes_both_payoffs(self):
         report = dominance(TABLE, 0.25)
-        assert report.x == 0.25
-        assert report.quantum_ne_mean == pytest.approx(quantum_ne_payoff(TABLE, 0.25))
-        assert report.classical_ne_mean == pytest.approx(classical_ne_payoff(TABLE, 0.25))
-
-    def test_rejects_unknown_verdict(self):
-        with pytest.raises(ValueError, match="verdict"):
-            EquilibriumReport(x=0.0, quantum_ne_mean=0.0, classical_ne_mean=0.0, dominant="both")
+        assert list(report) == ["x", "quantum_ne_mean", "classical_ne_mean", "dominant"]
+        assert report["x"] == 0.25
+        assert report["quantum_ne_mean"] == pytest.approx(quantum_ne_payoff(TABLE, 0.25))
+        assert report["classical_ne_mean"] == pytest.approx(classical_ne_payoff(TABLE, 0.25))
 
 
 class TestSweep:

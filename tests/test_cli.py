@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +209,17 @@ class TestTomo:
         assert "two inputs" in err
 
 
+class TestOsErrors:
+    def test_missing_output_directory_is_named(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f"
+        code, out, err = run(capsys, "play", "XIX", "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: {target}: No such file or directory\n")
+
+    def test_directory_as_state_is_named(self, capsys, tmp_path):
+        code, out, err = run(capsys, "tomo", "fidelity", str(tmp_path), "101")
+        assert (code, out, err) == (2, "", f"error: {tmp_path}: Is a directory\n")
+
+
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_overflowing_stake_is_answered(self, capsys, fmt):
@@ -301,6 +313,10 @@ class TestEmitBackstop:
             emit(payload, argparse.Namespace(fmt="json", output=None))
 
 
+#: A file that exists and is neither JSON nor a matrix file.
+PLAIN_TEXT = str(Path(__file__).with_name("conftest.py"))
+
+
 class TestSharedFlags:
     @pytest.mark.parametrize("argv, flag", [
         (["xc", "--gamma", "5"], "--gamma"),
@@ -311,6 +327,10 @@ class TestSharedFlags:
         (["tomo", "estimate", "HIX", "--q", "0.5"], "--p/--q/--n"),
         (["tomo", "fidelity", "class7_appendix", "101", "--n", "inf"], "--p/--q/--n"),
         (["xc", "--p", "3"], "--p/--q/--n"),
+        (["sweep", "x", "--grid", "100000000000000000000"], "--grid"),
+        (["tomo", "estimate", "HIX", "--shots", str(2**63)], "--shots"),
+        pytest.param(["tomo", "reconstruct", PLAIN_TEXT], PLAIN_TEXT, id="not-json"),
+        pytest.param(["tomo", "forward", PLAIN_TEXT], PLAIN_TEXT, id="not-a-matrix"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):

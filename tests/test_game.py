@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from qdilemma import linalg
 from qdilemma.game import (
+    GATES,
     PayoffTable,
     PayoffVector,
-    Strategy,
-    compose,
     decompose_entangler,
     disentangler,
     entangler,
@@ -25,8 +24,9 @@ from qdilemma.game import (
     strategy_unitary,
 )
 from qdilemma.linalg import basis_density, basis_state, dagger, is_unitary, kron3
+from qdilemma.noise import corrupted_input
 
-from helpers import oracle_game_probs, random_mixed_density
+from helpers import oracle_game_probs, ordered_product, random_mixed_density
 
 TABLE = PayoffTable()
 
@@ -83,17 +83,18 @@ class TestStrategyUnitary:
         )
 
     def test_all_strategies_unitary(self, rng):
-        for letter in "IHX":
+        assert list(GATES) == ["I", "H", "X"]
+        for letter in GATES:
             assert is_unitary(strategy_unitary(letter))
+        # the ancilla rotation of the noise circuit
         for _ in range(25):
             theta, phi, lam = rng.uniform(0, 2 * np.pi, size=3)
-            assert is_unitary(strategy_unitary(Strategy.general(theta, phi, lam)))
+            assert is_unitary(general_unitary(theta, phi, lam))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="strategy"):
-            Strategy("Z")
-        with pytest.raises(ValueError, match="strategy"):
-            strategy_unitary("Q")
+        for bad in ("Q", "Z", "U", "x", "XX", "", None, ["X"]):
+            with pytest.raises(ValueError, match="not a strategy"):
+                strategy_unitary(bad)
 
 
 class TestPlay:
@@ -150,6 +151,15 @@ class TestPlay:
             probs = play(tuple(letters), gamma=0.0)
             outcome = "".join("1" if c == "X" else "0" for c in letters)
             np.testing.assert_allclose(probs, basis_state(outcome).real, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(profile=st.sampled_from(list(product("IHX", repeat=3))),
+           gamma=st.floats(0.0, np.pi / 2), x=st.floats(0.0, 1.0))
+    def test_outcomes_form_a_distribution(self, profile, gamma, x):
+        probs = play(profile, corrupted_input(x), gamma)
+        assert probs.shape == (8,)
+        assert (probs >= 0.0).all()
+        assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_mixed_class_orderings_share_the_mean(self):
         means = [
@@ -234,7 +244,8 @@ class TestDecomposition:
     def test_five_steps(self):
         steps = decompose_entangler()
         assert len(steps) == 5
-        assert [s.name for s in steps] == [
+        assert all(matrix.shape == (8, 8) for _, matrix in steps)
+        assert [name for name, _ in steps] == [
             "cnot q1->q0",
             "cnot q1->q2",
             "rx(-pi/2) q1",
@@ -243,16 +254,16 @@ class TestDecomposition:
         ]
 
     def test_product_equals_entangler_up_to_phase(self):
-        u = compose(decompose_entangler())
+        u = ordered_product(decompose_entangler())
         assert global_phase_distance(u, entangler(np.pi / 2)) <= 1e-12
 
     def test_product_on_000(self):
-        psi = compose(decompose_entangler()) @ basis_state("000")
+        psi = ordered_product(decompose_entangler()) @ basis_state("000")
         expected = (basis_state("000") + 1j * basis_state("111")) / np.sqrt(2)
         np.testing.assert_allclose(psi, expected, atol=1e-12)
 
     def test_product_unitary(self):
-        u = compose(decompose_entangler())
+        u = ordered_product(decompose_entangler())
         np.testing.assert_allclose(u @ dagger(u), np.eye(8), atol=1e-12)
 
     def test_rotation_phase_convention(self):
@@ -267,7 +278,7 @@ class TestDecomposition:
 
 class TestParseProfile:
     def test_accepts_lowercase(self):
-        assert parse_profile("xhi") == (Strategy("X"), Strategy("H"), Strategy("I"))
+        assert parse_profile("xhi") == ("X", "H", "I")
 
     @pytest.mark.parametrize("text", ["", "XX", "XXXX", "XYZ", "ABC", "1HX"])
     def test_rejects_malformed(self, text):

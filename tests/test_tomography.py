@@ -136,6 +136,14 @@ class TestEstimateExpectations:
         with pytest.raises(ValueError, match="shots"):
             estimate_expectations(random_mixed_density(rng), shots=0)
 
+    def test_shots_are_bounded_by_a_c_long(self):
+        rho = basis_density("101")
+        with pytest.raises(ValueError, match="--shots"):
+            estimate_expectations(rho, shots=2**63)
+        # the standard error at 2**63 - 1 shots is about 3e-10
+        np.testing.assert_allclose(estimate_expectations(rho, shots=2**63 - 1),
+                                   expectations(rho), rtol=0, atol=1e-8)
+
 
 def fresh_stream_estimate(rho, shots, seed):
     """Reference estimator: a new Philox keyed [seed mod 2**64, string index] per string."""
