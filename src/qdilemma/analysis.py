@@ -141,27 +141,36 @@ def dominance(table: PayoffTable, x: float) -> dict:
 
 SWEEPABLE = ("x", "n", "q")
 
-#: Keys of a sweep row, in order.
+#: Columns of a sweep, in order.
 SWEEP_COLUMNS = ("swept", "value", "p", "q", "n", "x", "quantum_ne_mean", "classical_ne_mean",
                  "x_c", "simulated_quantum_mean", "simulated_classical_mean", "valid", "error")
 
 
+def _float_column(values, m: int) -> list:
+    """``values`` as ``m`` Python floats; a value held over the whole grid is one
+    float object, repeated."""
+    return values.tolist() if np.ndim(values) else [float(values)] * m
+
+
 def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
-          gamma: float = DEFAULT_GAMMA) -> list[dict]:
+          gamma: float = DEFAULT_GAMMA) -> dict[str, list]:
     """Evaluate both equilibria and the crossing point over a parameter grid.
 
     ``swept`` is one of ``"x"``, ``"n"``, ``"q"``; the other parameters are
-    held at ``table`` and ``x``.  Returns one flat dict per grid point, in
-    grid order, with the keys :data:`SWEEP_COLUMNS`: ``value`` is the swept
-    parameter's value and ``p, q, n, x`` echo the full effective parameter
-    set.  Grid points whose stakes violate 0 < p < q < n, or whose corruption
-    lies outside [0, 1], are kept with ``valid`` false and the message of
+    held at ``table`` and ``x``.  Returns a column table: a dict keyed by
+    :data:`SWEEP_COLUMNS`, in that order, of equal-length lists with one entry
+    per grid point, in grid order.  ``value`` is the swept parameter's value
+    and ``p, q, n, x`` echo the full effective parameter set.  Grid points
+    whose stakes violate 0 < p < q < n, or whose corruption lies outside
+    [0, 1], are kept with ``valid`` false and the message of
     :class:`~qdilemma.game.PayoffTable` or
     :func:`~qdilemma.noise.check_corruption` as ``error`` instead of numbers.
+    A value that does not vary along the grid, such as a held stake, is one
+    object repeated in its column.
 
     The closed forms are evaluated as arrays over the whole grid, giving the
     per-point scalar functions' results bit for bit.  For a corruption sweep
-    each row also carries simulated cross-checks: the mean payoff of a
+    each point also carries simulated cross-checks: the mean payoff of a
     mixed-class profile and of the all-flip profile on the corrupted input.
     The circuit and the payoff are linear in the input
     ``(1-x)|000><000| + x|111><111|``, so both are simulated once at ``x = 0``
@@ -181,9 +190,10 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     held = {"p": table.p, "q": table.q, "n": table.n, "x": x}
     echo = {key: [value] * m for key, value in held.items()}
     echo[swept] = values.tolist()
-    arrays = {key: np.full(m, value, dtype=float) for key, value in held.items()}
-    arrays[swept] = values
-    p, q, n, xs = arrays["p"], arrays["q"], arrays["n"], arrays["x"]
+    # the held parameters stay scalars, so what depends on them alone is one value
+    operands = {key: float(value) for key, value in held.items()}
+    operands[swept] = values
+    p, q, n, xs = operands["p"], operands["q"], operands["n"], operands["x"]
 
     if swept == "x":
         mixed0, mixed1 = (simulated_class_mean(("H", "I", "X"), table, end, gamma)
@@ -194,10 +204,10 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     # invalid points may hold any numbers here; they are replaced below
     with np.errstate(all="ignore"):
         valid = (0.0 < p) & (p < q) & (q < n) & np.isfinite(n) & (0.0 <= xs) & (xs <= 1.0)
-        quantum = _quantum_ne(p, q, n, xs).tolist()
-        classical = _classical_ne(q, xs).tolist()
+        quantum = _float_column(_quantum_ne(p, q, n, xs), m)
+        classical = _float_column(_classical_ne(q, xs), m)
         numerator, x_c = _crossing(p, q, n)
-        x_c = x_c.tolist()
+        x_c = _float_column(x_c, m)
         if swept == "x":
             sim_quantum = ((1.0 - xs) * mixed0 + xs * mixed1).tolist()
             sim_classical = ((1.0 - xs) * flip0 + xs * flip1).tolist()
@@ -216,6 +226,6 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
         except ValueError as exc:
             errors[k] = str(exc)
 
-    columns = ([swept] * m, echo[swept], echo["p"], echo["q"], echo["n"], echo["x"], quantum,
-               classical, x_c, sim_quantum, sim_classical, valid.tolist(), errors)
-    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*columns)]
+    return dict(zip(SWEEP_COLUMNS, ([swept] * m, values.tolist(), echo["p"], echo["q"], echo["n"],
+                                    echo["x"], quantum, classical, x_c, sim_quantum, sim_classical,
+                                    valid.tolist(), errors)))

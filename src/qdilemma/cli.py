@@ -16,9 +16,12 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import tempfile
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
+from operator import is_
 
 import numpy as np
 
@@ -27,6 +30,9 @@ from .game import PayoffTable
 
 _PROFILE_RE = re.compile(r"[IHXihx]{3}")
 _BITS_RE = re.compile(r"[01]{3}")
+
+#: Most points a sweep may have (a 2001-point JSON sweep is about 760 KB).
+MAX_GRID = 100_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,13 +112,18 @@ def _check_shared(args):
             raise ValueError(f"{flag}: {exc}") from None
 
 
-#: Parameter columns that lead every CSV row, unless the row already carries them.
+#: Parameter columns that lead every CSV row, unless the table already has them.
 _ECHO_COLUMNS = ("p", "q", "n", "x", "gamma", "seed")
 
 
-def _payload(args, results, rows, **extra) -> dict:
-    """The one record form: JSON prints ``params`` and ``results``, CSV is derived
-    from ``rows`` (flat dicts) with the ``params`` echo as leading columns."""
+def _payload(args, columns, results=None, **extra) -> dict:
+    """The one record form.
+
+    ``columns`` is a column table: a dict of equal-length lists of scalars, one
+    entry per row.  CSV is derived from it, with the ``params`` echo as leading
+    columns.  JSON prints ``params`` and ``results``; without ``results``, the
+    table's records (one dict per row) are the results.
+    """
     params = {
         "command": args.command,
         "p": args.p,
@@ -125,7 +136,15 @@ def _payload(args, results, rows, **extra) -> dict:
         "grid": args.grid,
     }
     params.update(extra)
-    return {"params": params, "results": results, "rows": rows}
+    payload = {"params": params, "columns": columns}
+    if results is not None:
+        payload["results"] = results
+    return payload
+
+
+def _row_table(row: dict) -> dict:
+    """The column table of one row."""
+    return {key: [value] for key, value in row.items()}
 
 
 def _table(args) -> PayoffTable:
@@ -151,21 +170,19 @@ def cmd_play(args) -> dict:
     row = {"profile": name}
     row.update((f"prob_{outcome}", probs[k]) for k, outcome in enumerate(game.OUTCOMES))
     row.update(payoff1=pay.player1, payoff2=pay.player2, payoff3=pay.player3, mean=pay.mean)
-    return _payload(args, results, [row], profile=name)
+    return _payload(args, _row_table(row), results, profile=name)
 
 
 def cmd_classes(args) -> dict:
     table = _table(args)
-    rows = [
-        {
-            "label": label,
-            "multiset": "".join(multiset),
-            "size": analysis.class_size(multiset),
-            "mean_payoff": analysis.simulated_class_mean(multiset, table, args.x, args.gamma),
-        }
-        for label, multiset in analysis.CLASS_MULTISETS.items()
-    ]
-    return _payload(args, rows, rows)
+    multisets = analysis.CLASS_MULTISETS.values()
+    return _payload(args, {
+        "label": list(analysis.CLASS_MULTISETS),
+        "multiset": ["".join(multiset) for multiset in multisets],
+        "size": [analysis.class_size(multiset) for multiset in multisets],
+        "mean_payoff": [analysis.simulated_class_mean(multiset, table, args.x, args.gamma)
+                        for multiset in multisets],
+    })
 
 
 def cmd_sweep(args) -> dict:
@@ -179,14 +196,13 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"sweep range [{start}, {stop}] must be finite")
     if args.grid < 1:
         raise ValueError("empty sweep range: --grid must be at least 1")
+    if args.grid > MAX_GRID:
+        raise ValueError(f"--grid: {args.grid} points exceed the maximum of {MAX_GRID}")
     if stop < start:
         raise ValueError(f"inverted sweep range [{start}, {stop}]")
-    try:
-        grid = np.linspace(start, stop, args.grid)
-    except ValueError as exc:
-        raise ValueError(f"--grid: {exc}") from None
-    rows = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
-    return _payload(args, rows, rows, swept=args.swept, start=start, stop=stop)
+    grid = np.linspace(start, stop, args.grid)
+    columns = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
+    return _payload(args, columns, swept=args.swept, start=start, stop=stop)
 
 
 def cmd_xc(args) -> dict:
@@ -196,7 +212,7 @@ def cmd_xc(args) -> dict:
     results = {"x_c": x_c, "no_advantage": x_c is None, "report": report}
     row = {"x_c": x_c, "no_advantage": x_c is None, "quantum_ne_mean": report["quantum_ne_mean"],
            "classical_ne_mean": report["classical_ne_mean"], "dominant": report["dominant"]}
-    return _payload(args, results, [row])
+    return _payload(args, _row_table(row), results)
 
 
 def _resolve_state(token: str, args) -> np.ndarray:
@@ -220,9 +236,9 @@ def _resolve_target(token: str, args) -> np.ndarray:
 
 
 def _tensor_payload(args, t: np.ndarray, token: str) -> dict:
-    rows = [{"i1": i, "i2": j, "i3": k, "value": t[i, j, k]}
-            for i in range(4) for j in range(4) for k in range(4)]
-    return _payload(args, {"tensor": t.tolist()}, rows, state=token)
+    columns = dict(zip(("i1", "i2", "i3"), np.indices(t.shape).reshape(3, -1).tolist()))
+    columns["value"] = t.ravel().tolist()
+    return _payload(args, columns, {"tensor": t.tolist()}, state=token)
 
 
 def cmd_tomo(args) -> dict:
@@ -233,7 +249,8 @@ def cmd_tomo(args) -> dict:
         state = _resolve_state(args.inputs[0], args)
         target = _resolve_target(args.inputs[1], args)
         results = {"fidelity": tomography.fidelity(state, target)}
-        return _payload(args, results, [results], state=args.inputs[0], target=args.inputs[1])
+        return _payload(args, _row_table(results), results, state=args.inputs[0],
+                        target=args.inputs[1])
     if len(args.inputs) != 1:
         raise ValueError(f"tomo {task} takes exactly one input")
     token = args.inputs[0]
@@ -254,10 +271,26 @@ def cmd_tomo(args) -> dict:
     except (KeyError, TypeError):
         raise ValueError(f"{token!r} does not contain a results.tensor block") from None
     rho = tomography.reconstruct(tensor)
-    rows = [{"row": i, "col": j, "re": rho[i, j].real, "im": rho[i, j].imag}
-            for i in range(8) for j in range(8)]
+    columns = dict(zip(("row", "col"), np.indices(rho.shape).reshape(2, -1).tolist()))
+    columns.update(re=rho.real.ravel().tolist(), im=rho.imag.ravel().tolist())
     results = {"real": rho.real.tolist(), "imag": rho.imag.tolist()}
-    return _payload(args, results, rows, tensor_file=token)
+    return _payload(args, columns, results, tensor_file=token)
+
+
+#: The ``.12g`` text of the non-finite floats.
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))
+
+#: Characters for which ``csv.writer`` may quote a field.
+_CSV_SPECIAL = re.compile(r'[,"\r\n]')
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted where it needs to be."""
+    if not _CSV_SPECIAL.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def _csv_cell(value) -> str:
@@ -269,21 +302,41 @@ def _csv_cell(value) -> str:
         if not math.isfinite(value):
             raise ValueError(f"non-finite value {value!r}")
         return format(value, ".12g")
-    return str(value)
+    return _csv_field(str(value))
 
 
-def _csv_text(doc: dict) -> str:
-    """CSV of ``doc["rows"]``, led by the ``doc["params"]`` echo columns."""
-    rows = doc["rows"]
-    lead = [_csv_cell(v) for v in doc["params"].values()]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(doc["params"]) + list(rows[0]))
-    for row in rows:
-        # v - v == 0.0 holds for exactly the finite floats
-        writer.writerow(lead + [format(v, ".12g") if v.__class__ is float and v - v == 0.0
-                                else _csv_cell(v) for v in row.values()])
-    return buf.getvalue()
+def _csv_tokens(column: list) -> list:
+    """CSV fields of a column: ``.12g`` for floats, ``_csv_cell`` for the rest."""
+    try:
+        tokens = list(map(float.__format__, column, repeat(".12g")))
+    except TypeError:  # a cell that is not a float
+        return list(map(_csv_cell, column))
+    if not _NON_FINITE.isdisjoint(tokens):
+        raise ValueError("non-finite value")
+    return tokens
+
+
+def _column_tokens(column: list, tokens) -> list:
+    """``tokens(column)``, with a column that repeats one object formatted once.
+
+    The test is identity, not equality: ``0.0 == -0.0``, and a NaN must still
+    reach ``tokens`` to be refused.
+    """
+    first = column[0]
+    if all(map(is_, column, repeat(first))):
+        return tokens([first]) * len(column)
+    return tokens(column)
+
+
+def _csv_text(echo: dict, columns: dict) -> str:
+    """CSV of a column table, led by the ``echo`` parameters as constant columns."""
+    m = len(next(iter(columns.values())))
+    table = {key: [value] * m for key, value in echo.items()}
+    table.update(columns)
+    lines = [",".join(map(_csv_field, table))]
+    lines += map(",".join, zip(*(_column_tokens(column, _csv_tokens)
+                                 for column in table.values())))
+    return "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -293,11 +346,34 @@ def _flat_encoder(depth: int):
     return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")).encode
 
 
+def _json_tokens(column: list) -> list:
+    """JSON text of each cell of a column of scalars, from one C-encoder call.
+
+    No scalar's JSON text holds a newline, so the item separator splits it.
+    """
+    return _flat_encoder(0)(column)[1:-1].split(",\n  ")
+
+
+def _records_text(columns: dict, depth: int) -> str:
+    """``_json_text`` of the records (one dict per row) of a column table at ``depth``.
+
+    Each record is one ``%`` template filled from per-column token lists.
+    """
+    if not next(iter(columns.values())):
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    fields = ",".join(f"{pad}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
+                      for key in columns)
+    template = "{" + fields + pad + "}"
+    cells = zip(*(_column_tokens(column, _json_tokens) for column in columns.values()))
+    return "[" + pad + ("," + pad).join([template % row for row in cells]) + "\n" + "  " * depth + "]"
+
+
 def _json_text(node, depth: int = 0) -> str:
     """``json.dumps(node, indent=2, allow_nan=False)``, byte for byte, for string keys.
 
-    Only the nesting is written here; each flat container (a record,
-    ``params``, an innermost tensor row) is one C-encoder call.
+    Only the nesting is written here; each flat container (``params``, an
+    innermost tensor row) is one C-encoder call.
     """
     if isinstance(node, dict):
         children, opening, closing = node.values(), "{", "}"
@@ -340,25 +416,27 @@ def _first_non_finite(node, path=""):
 
 def emit(payload: dict, args):
     """Write the payload as JSON or CSV; a non-finite number raises instead."""
-    params = payload["params"]
-    if args.fmt == "json":
-        doc = {"params": params, "results": payload["results"]}
-        encode = _json_text
-    else:
-        rows = payload["rows"]
-        doc = {"params": {c: params[c] for c in _ECHO_COLUMNS if c not in rows[0]}, "rows": rows}
-        encode = _csv_text
+    params, columns = payload["params"], payload["columns"]
     try:
-        text = encode(doc)
+        if args.fmt == "json":
+            results = (_json_text(payload["results"], 1) if "results" in payload
+                       else _records_text(columns, 1))
+            text = '{\n  "params": ' + _json_text(params, 1) + ',\n  "results": ' + results + "\n}\n"
+        else:
+            echo = {c: params[c] for c in _ECHO_COLUMNS if c not in columns}
+            text = _csv_text(echo, columns)
     except ValueError:
         # walk the document only on failure: sweeps emit thousands of records
+        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        if args.fmt == "json":
+            doc = {"params": params, "results": payload.get("results", rows)}
+        else:
+            doc = {"params": echo, "rows": rows}
         found = _first_non_finite(doc)
         if found is None:
             raise
         path, value = found
         raise ValueError(f"result holds the non-finite value {float(value)!r} at {path}") from None
-    if args.fmt == "json":
-        text += "\n"
     if args.output:
         _write_atomic(args.output, text)
     else:
@@ -366,13 +444,33 @@ def emit(payload: dict, args):
 
 
 def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
+    """Write ``text`` to ``path``; a regular file is replaced whole, by renaming
+    a finished temporary file over it.
+
+    A symlink is followed: its target is replaced and the link stays.  An
+    existing path that is not a regular file, such as a FIFO, is written in
+    place.  A new file gets mode ``0o666 & ~umask``; a regular file keeps its
+    mode.
+    """
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qdilemma-")
+        try:
+            existing = os.stat(target).st_mode
+        except FileNotFoundError:
+            # a new file is a regular file of the default mode
+            umask = os.umask(0)
+            os.umask(umask)
+            existing = stat.S_IFREG | (0o666 & ~umask)
+        if not stat.S_ISREG(existing):
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".qdilemma-")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.fchmod(fh.fileno(), stat.S_IMODE(existing))
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

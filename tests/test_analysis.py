@@ -196,53 +196,58 @@ class TestDominance:
 
 class TestSweep:
     def test_corruption_sweep_endpoints(self):
-        records = sweep(TABLE, "x", [0.0, 1.0])
-        assert [r["value"] for r in records] == [0.0, 1.0]
-        assert records[0]["quantum_ne_mean"] == pytest.approx(19 / 3, abs=1e-12)
-        assert records[0]["classical_ne_mean"] == pytest.approx(2.0, abs=1e-12)
-        assert records[1]["quantum_ne_mean"] == pytest.approx(-17 / 3, abs=1e-12)
-        assert records[1]["classical_ne_mean"] == pytest.approx(0.0, abs=1e-12)
+        columns = sweep(TABLE, "x", [0.0, 1.0])
+        assert columns["value"] == [0.0, 1.0]
+        assert columns["quantum_ne_mean"][0] == pytest.approx(19 / 3, abs=1e-12)
+        assert columns["classical_ne_mean"][0] == pytest.approx(2.0, abs=1e-12)
+        assert columns["quantum_ne_mean"][1] == pytest.approx(-17 / 3, abs=1e-12)
+        assert columns["classical_ne_mean"][1] == pytest.approx(0.0, abs=1e-12)
 
     def test_corruption_sweep_carries_simulated_cross_checks(self):
-        for record in sweep(TABLE, "x", np.linspace(0, 1, 11)):
-            assert record["simulated_quantum_mean"] == pytest.approx(
-                record["quantum_ne_mean"], abs=1e-10
-            )
-            assert record["simulated_classical_mean"] == pytest.approx(
-                record["classical_ne_mean"], abs=1e-10
-            )
+        columns = sweep(TABLE, "x", np.linspace(0, 1, 11))
+        assert columns["simulated_quantum_mean"] == pytest.approx(
+            columns["quantum_ne_mean"], abs=1e-10
+        )
+        assert columns["simulated_classical_mean"] == pytest.approx(
+            columns["classical_ne_mean"], abs=1e-10
+        )
 
     def test_stake_sweep_raises_crossing_with_n(self):
-        records = sweep(TABLE, "n", range(3, 101))
-        values = [r["x_c"] for r in records]
-        assert all(r["valid"] for r in records)
+        columns = sweep(TABLE, "n", range(3, 101))
+        values = columns["x_c"]
+        assert all(columns["valid"])
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_crossing_falls_as_q_approaches_n(self):
-        records = sweep(TABLE, "q", np.linspace(1.5, 6.0, 10))
-        values = [r["x_c"] for r in records]
+        values = sweep(TABLE, "q", np.linspace(1.5, 6.0, 10))["x_c"]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_q_sweep_reaches_no_advantage(self):
         # beyond q = (2n+p)/3 the crossing disappears but the table stays legal
-        (record,) = sweep(TABLE, "q", [7.0])
-        assert record["valid"]
-        assert record["x_c"] is None
+        columns = sweep(TABLE, "q", [7.0])
+        assert columns["valid"] == [True]
+        assert columns["x_c"] == [None]
 
     def test_classical_payoff_equals_q_on_pristine_source(self):
-        for record in sweep(TABLE, "q", np.linspace(1.1, 8.9, 9), x=0.0):
-            assert record["classical_ne_mean"] == pytest.approx(record["value"], abs=1e-12)
+        columns = sweep(TABLE, "q", np.linspace(1.1, 8.9, 9), x=0.0)
+        assert columns["classical_ne_mean"] == pytest.approx(columns["value"], abs=1e-12)
 
     def test_invalid_points_flagged_not_dropped(self):
-        records = sweep(TABLE, "n", [1.5, 9.0])
-        assert [r["valid"] for r in records] == [False, True]
-        assert "0 < p < q < n" in records[0]["error"]
-        assert records[0]["quantum_ne_mean"] is None
-        assert records[0]["n"] == 1.5
+        columns = sweep(TABLE, "n", [1.5, 9.0])
+        assert columns["valid"] == [False, True]
+        assert "0 < p < q < n" in columns["error"][0]
+        assert columns["quantum_ne_mean"][0] is None
+        assert columns["n"][0] == 1.5
 
     def test_record_order_follows_grid_order(self):
         grid = [0.9, 0.1, 0.5]
-        assert [r["value"] for r in sweep(TABLE, "x", grid)] == grid
+        assert sweep(TABLE, "x", grid)["value"] == grid
+
+    def test_held_values_are_one_object_per_column(self):
+        # what the grid does not vary is formatted once when emitted
+        columns = sweep(TABLE, "x", np.linspace(0, 1, 5))
+        for key in ("swept", "p", "q", "n", "x_c", "valid", "error"):
+            assert len(set(map(id, columns[key]))) == 1, key
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -260,11 +265,11 @@ class TestSweep:
 
     def test_corruption_sweep_endpoints_are_the_simulated_endpoints(self):
         gamma = 0.7
-        first, last = sweep(TABLE, "x", [0.0, 1.0], gamma=gamma)
-        for record, x in ((first, 0.0), (last, 1.0)):
-            assert record["simulated_quantum_mean"] == simulated_class_mean(
+        columns = sweep(TABLE, "x", [0.0, 1.0], gamma=gamma)
+        for k, x in enumerate((0.0, 1.0)):
+            assert columns["simulated_quantum_mean"][k] == simulated_class_mean(
                 ("H", "I", "X"), TABLE, x, gamma)
-            assert record["simulated_classical_mean"] == simulated_class_mean(
+            assert columns["simulated_classical_mean"][k] == simulated_class_mean(
                 ("X", "X", "X"), TABLE, x, gamma)
 
     @settings(deadline=None)
@@ -277,10 +282,11 @@ class TestSweep:
         p = q * p_frac
         table = PayoffTable(p, q, n)
         tol = 1e-12 * (1.0 + n)
-        for record, x in zip(sweep(table, "x", xs, gamma=gamma), xs):
-            assert record["simulated_quantum_mean"] == pytest.approx(
+        columns = sweep(table, "x", xs, gamma=gamma)
+        for k, x in enumerate(xs):
+            assert columns["simulated_quantum_mean"][k] == pytest.approx(
                 simulated_class_mean(("H", "I", "X"), table, x, gamma), abs=tol)
-            assert record["simulated_classical_mean"] == pytest.approx(
+            assert columns["simulated_classical_mean"][k] == pytest.approx(
                 simulated_class_mean(("X", "X", "X"), table, x, gamma), abs=tol)
 
 
@@ -336,9 +342,10 @@ class TestColumnarSweep:
         stakes = dict(vars(table), tie=(2.0 * table.n + table.p) / 3.0)
         grid = [stakes.get(v, v) for v in grid]
         x = stakes.get(x, x)
+        rows = per_point_sweep(table, swept, grid, x, gamma)
         # repr tells -0.0 from 0.0 and compares the error strings too
         assert repr(sweep(table, swept, grid, x=x, gamma=gamma)) == repr(
-            per_point_sweep(table, swept, grid, x, gamma))
+            {key: [row[key] for row in rows] for key in SWEEP_COLUMNS})
 
     def test_rejects_a_two_dimensional_grid(self):
         with pytest.raises(ValueError, match="one-dimensional"):

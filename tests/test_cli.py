@@ -4,8 +4,11 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdilemma.cli import emit, main
+from qdilemma.cli import MAX_GRID, emit, main
 
 from helpers import subprocess_env
 
@@ -285,7 +288,7 @@ class TestEmitBackstop:
     PAYLOAD = {
         "params": {"p": 1.0, "q": 2.0, "n": 9.0, "x": 0.0, "gamma": 1.0, "seed": 0},
         "results": {"x_c": 0.4, "report": {"x": 0.0, "quantum_ne_mean": float("nan")}},
-        "rows": [{"x_c": 0.4, "quantum_ne_mean": float("nan")}],
+        "columns": {"x_c": [0.4], "quantum_ne_mean": [float("nan")]},
     }
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -302,7 +305,7 @@ class TestEmitBackstop:
         # the CLI refuses a non-finite stake up front, so the echo backstop is
         # reached only through emit
         payload = dict(self.PAYLOAD, params=dict(self.PAYLOAD["params"], p=float("nan")),
-                       rows=[{"x_c": 0.4}])
+                       columns={"x_c": [0.4]})
         with pytest.raises(ValueError, match=r"non-finite value nan at params\.p$"):
             emit(payload, argparse.Namespace(fmt="csv", output=None))
         assert capsys.readouterr().out == ""
@@ -331,6 +334,7 @@ class TestSharedFlags:
         (["tomo", "estimate", "HIX", "--shots", str(2**63)], "--shots"),
         pytest.param(["tomo", "reconstruct", PLAIN_TEXT], PLAIN_TEXT, id="not-json"),
         pytest.param(["tomo", "forward", PLAIN_TEXT], PLAIN_TEXT, id="not-a-matrix"),
+        pytest.param(["sweep", "x", "--grid", str(MAX_GRID + 1)], "--grid", id="grid-above-cap"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):
@@ -351,7 +355,7 @@ def json_docs():
 
 
 def emitted_json(doc) -> str:
-    payload = {"params": {"command": "test", "gamma": 1.0}, "results": doc, "rows": []}
+    payload = {"params": {"command": "test", "gamma": 1.0}, "results": doc, "columns": {}}
     with contextlib.redirect_stdout(io.StringIO()) as out:
         emit(payload, argparse.Namespace(fmt="json", output=None))
     return out.getvalue()
@@ -388,7 +392,110 @@ class TestJsonWriter:
         assert str(info.value) == f"result holds the non-finite value {float(value)!r} at {path}"
 
 
-ECHO = "p,q,n,x,gamma,seed"
+#: Scalar cells of a column table, with the JSON and CSV edge cases among them:
+#: quotes, commas, newlines and non-ASCII text, subnormals, the float maximum.
+CELLS = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**30, 10**30), st.text(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2e-308, 1.7e308, -1.7e308, 'say "hi", twice',
+                     "two\nlines", "\r", "naïve ☃", "100%s %%", ""]),
+)
+ECHO_KEYS = ("p", "q", "n", "x", "gamma", "seed")
+
+
+@st.composite
+def column_tables(draw, min_rows=0):
+    """Column tables of scalars: columns that repeat one object, such as held
+    stakes, next to mixed ones and to mixes of 0.0 and -0.0."""
+    m = draw(st.integers(min_rows, 6))
+    keys = draw(st.lists(st.one_of(st.text(), st.sampled_from(ECHO_KEYS)), min_size=1,
+                         max_size=6, unique=True))
+    table = {}
+    for key in keys:
+        kind = draw(st.sampled_from(["repeated", "mixed", "signed zeros"]))
+        if kind == "repeated":
+            table[key] = [draw(CELLS)] * m
+        elif kind == "mixed":
+            table[key] = draw(st.lists(CELLS, min_size=m, max_size=m))
+        else:
+            table[key] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m))
+    return table
+
+
+def echo_params():
+    return st.fixed_dictionaries({key: CELLS for key in ECHO_KEYS})
+
+
+def emitted_table(params, table, fmt) -> str:
+    payload = {"params": params, "columns": table}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        emit(payload, argparse.Namespace(fmt=fmt, output=None))
+    return out.getvalue()
+
+
+def records(table) -> list:
+    return [dict(zip(table, row)) for row in zip(*table.values())]
+
+
+def reference_csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
+        return format(value, ".12g")
+    return str(value)
+
+
+def reference_csv(params, rows) -> str:
+    """The row-by-row CSV writer that the column writer replaced."""
+    echo = {c: params[c] for c in ECHO_KEYS if c not in rows[0]}
+    lead = [reference_csv_cell(v) for v in echo.values()]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(echo) + list(rows[0]))
+    for row in rows:
+        writer.writerow(lead + [format(v, ".12g") if v.__class__ is float and v - v == 0.0
+                                else reference_csv_cell(v) for v in row.values()])
+    return buf.getvalue()
+
+
+class TestColumnWriters:
+    @settings(deadline=None)
+    @given(params=echo_params(), table=column_tables())
+    def test_records_equal_indented_dumps(self, params, table):
+        want = json.dumps({"params": params, "results": records(table)},
+                          indent=2, allow_nan=False) + "\n"
+        assert emitted_table(params, table, "json") == want
+
+    @settings(deadline=None)
+    @given(params=echo_params(), table=column_tables(min_rows=1))
+    def test_csv_equals_the_row_by_row_writer(self, params, table):
+        assert emitted_table(params, table, "csv") == reference_csv(params, records(table))
+
+    @settings(deadline=None)
+    @given(params=echo_params(), table=column_tables(min_rows=1), fmt=st.sampled_from(["json", "csv"]),
+           value=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
+           data=st.data())
+    def test_non_finite_cell_is_refused_with_its_path(self, params, table, fmt, value, data):
+        key = data.draw(st.sampled_from(list(table)))
+        m = len(table[key])
+        if data.draw(st.booleans(), label="whole column"):
+            k, table[key] = 0, [value] * m
+        else:
+            k = data.draw(st.integers(0, m - 1))
+            table[key] = [*table[key][:k], value, *table[key][k + 1:]]
+        where = "results" if fmt == "json" else "rows"
+        with pytest.raises(ValueError) as info:
+            emitted_table(params, table, fmt)
+        assert str(info.value) == (
+            f"result holds the non-finite value {float(value)!r} at {where}[{k}].{key}")
+
+
+ECHO = ",".join(ECHO_KEYS)
 TENSOR_HEADER = ECHO + ",i1,i2,i3,value"
 
 
@@ -450,6 +557,50 @@ class TestOutputFormats:
         assert doc["results"]["x_c"] == pytest.approx(13 / 30, abs=1e-12)
         leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
         assert leftovers == []
+
+    def test_output_symlink_is_written_through(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old", encoding="utf-8")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, out, err = run(capsys, "xc", "--output", str(link))
+        assert code == 0, err
+        assert link.is_symlink()
+        assert json.loads(target.read_text(encoding="utf-8"))["params"]["command"] == "xc"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+    def test_output_fifo_is_written_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True)
+        reader.start()
+        code, out, err = run(capsys, "xc", "--output", str(fifo))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0, err
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert json.loads(received[0])["params"]["command"] == "xc"
+
+    def test_new_output_file_mode_follows_the_umask(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        old = os.umask(0o027)
+        try:
+            code, out, err = run(capsys, "xc", "--output", str(target))
+        finally:
+            os.umask(old)
+        assert code == 0, err
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+    def test_existing_output_file_keeps_its_mode(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old", encoding="utf-8")
+        target.chmod(0o604)
+        code, out, err = run(capsys, "xc", "--output", str(target))
+        assert code == 0, err
+        assert stat.S_IMODE(os.stat(target).st_mode) == 0o604
+        assert json.loads(target.read_text(encoding="utf-8"))["params"]["command"] == "xc"
 
     def test_json_echoes_gamma_and_seed(self, capsys):
         doc = run_json(capsys, "play", "HHH", "--gamma", "0.7", "--seed", "9")

@@ -1,11 +1,14 @@
 """Structural guards on the hot paths, counted by monkeypatching rather than timed."""
 
+import contextlib
+import io
+import json
 import subprocess
 import sys
 
 import numpy as np
 
-from qdilemma import tomography
+from qdilemma import analysis, cli, tomography
 from qdilemma.game import evolve, parse_profile
 
 from helpers import subprocess_env
@@ -38,3 +41,21 @@ def test_no_np_kron_on_import_or_evolve():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=subprocess_env(), check=True)
     assert proc.stdout == "0\n"
+
+
+def test_sweep_emit_encodes_columns_not_records(monkeypatch):
+    calls = []
+    flat_encoder = cli._flat_encoder
+
+    def counting(depth):
+        calls.append(depth)
+        return flat_encoder(depth)
+
+    monkeypatch.setattr(cli, "_flat_encoder", counting)
+    args = cli.build_parser().parse_args(["sweep", "x", "--grid", "2001"])
+    payload = args.handler(args)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.emit(payload, args)
+    assert len(json.loads(out.getvalue())["results"]) == 2001
+    # at most one call per column, and one for params
+    assert len(calls) <= len(analysis.SWEEP_COLUMNS) + 1
