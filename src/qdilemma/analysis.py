@@ -94,10 +94,10 @@ def _classical_ne(q, x):
 
 def _crossing(p, q, n):
     """Numerator and value of the crossing level; the value is a level only
-    where the numerator is positive."""
+    where the numerator is positive, and capped at 1/2, which rounding can pass."""
     p, q, n, _ = _scaled_stakes(p, q, n)
     numerator = 2.0 * n + p - 3.0 * q
-    return numerator, numerator / (4.0 * n - 3.0 * q)
+    return numerator, np.minimum(numerator / (4.0 * n - 3.0 * q), 0.5)
 
 
 def quantum_ne_payoff(table: PayoffTable, x: float) -> float:
@@ -159,12 +159,12 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     ``swept`` is one of ``"x"``, ``"n"``, ``"q"``; the other parameters are
     held at ``table`` and ``x``.  Returns a column table: a dict keyed by
     :data:`SWEEP_COLUMNS`, in that order, of equal-length lists with one entry
-    per grid point, in grid order.  ``value`` is the swept parameter's value
-    and ``p, q, n, x`` echo the full effective parameter set.  Grid points
-    whose stakes violate 0 < p < q < n, or whose corruption lies outside
-    [0, 1], are kept with ``valid`` false and the message of
-    :class:`~qdilemma.game.PayoffTable` or
-    :func:`~qdilemma.noise.check_corruption` as ``error`` instead of numbers.
+    per grid point, in grid order.  ``value`` is the swept parameter's values,
+    the same list object as that parameter's column, and ``p, q, n, x`` echo
+    the full effective parameter set.  Grid points whose stakes violate
+    0 < p < q < n, or whose corruption lies outside [0, 1], are kept with
+    ``valid`` false and the message of :class:`~qdilemma.game.PayoffTable`
+    or :func:`~qdilemma.noise.check_corruption` as ``error`` instead of numbers.
     A value that does not vary along the grid, such as a held stake, is one
     object repeated in its column.
 
@@ -226,6 +226,6 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
         except ValueError as exc:
             errors[k] = str(exc)
 
-    return dict(zip(SWEEP_COLUMNS, ([swept] * m, values.tolist(), echo["p"], echo["q"], echo["n"],
+    return dict(zip(SWEEP_COLUMNS, ([swept] * m, echo[swept], echo["p"], echo["q"], echo["n"],
                                     echo["x"], quantum, classical, x_c, sim_quantum, sim_classical,
                                     valid.tolist(), errors)))

@@ -35,6 +35,7 @@ _BITS_RE = re.compile(r"[01]{3}")
 MAX_GRID = 100_000
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", type=float, default=1.0, help="lone-player payoff (default 1)")
@@ -59,10 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_play = sub.add_parser("play", parents=[common], help="play one strategy profile")
     p_play.add_argument("profile", help="three letters from I/H/X, e.g. XIX (player 1 first)")
-    p_play.set_defaults(handler=cmd_play)
 
     p_classes = sub.add_parser("classes", parents=[common], help="tabulate the ten strategy classes")
-    p_classes.set_defaults(handler=cmd_classes)
 
     p_sweep = sub.add_parser("sweep", parents=[common], help="sweep x, n, or q")
     p_sweep.add_argument("swept", choices=analysis.SWEEPABLE)
@@ -70,17 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="range start (default 0 for x)")
     p_sweep.add_argument("--to", dest="stop", type=float, default=None,
                          help="range end (default 1 for x)")
-    p_sweep.set_defaults(handler=cmd_sweep)
 
     p_xc = sub.add_parser("xc", parents=[common], help="critical corruption and dominance verdict")
-    p_xc.set_defaults(handler=cmd_xc)
 
     p_tomo = sub.add_parser("tomo", parents=[common], help="tomography tasks")
     p_tomo.add_argument("task", choices=("forward", "reconstruct", "fidelity", "estimate"))
     p_tomo.add_argument("inputs", nargs="+", metavar="INPUT",
                         help="profile (XIX), bundled state name, or file path; "
                              "fidelity takes STATE TARGET, with TARGET also accepting bits like 101")
-    p_tomo.set_defaults(handler=cmd_tomo)
     return parser
 
 
@@ -88,7 +84,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_shared(args)
-        payload = args.handler(args)
+        # looked up per call, so that a wrapped ``cmd_*`` is the one that runs
+        payload = globals()[f"cmd_{args.command}"](args)
         emit(payload, args)
     except OSError as exc:
         # args[0] of an OSError is its errno; the path and the OS message say what failed
@@ -102,7 +99,7 @@ def main(argv=None) -> int:
 
 
 def _check_shared(args):
-    """Reject an out-of-range ``--gamma``, ``--x`` or stake table whatever the command."""
+    """Reject an out-of-range shared flag whatever the command."""
     for flag, check, value in (("--gamma", game._check_gamma, args.gamma),
                                ("--x", noise.check_corruption, args.x),
                                ("--p/--q/--n", _table, args)):
@@ -110,7 +107,15 @@ def _check_shared(args):
             check(value)
         except ValueError as exc:
             raise ValueError(f"{flag}: {exc}") from None
+    # the binomial draw of ``tomo estimate`` takes the shot count as a C long
+    for flag, value, high, shown in (("--grid", args.grid, MAX_GRID, MAX_GRID),
+                                     ("--shots", args.shots, 2**63 - 1, "2**63 - 1")):
+        if not 1 <= value <= high:
+            raise ValueError(f"{flag}: must be an integer in [1, {shown}], got {value}")
 
+
+#: The parameter echo that leads every JSON document, in order.
+_PARAMS = ("command", "p", "q", "n", "x", "gamma", "shots", "seed", "grid")
 
 #: Parameter columns that lead every CSV row, unless the table already has them.
 _ECHO_COLUMNS = ("p", "q", "n", "x", "gamma", "seed")
@@ -124,17 +129,7 @@ def _payload(args, columns, results=None, **extra) -> dict:
     columns.  JSON prints ``params`` and ``results``; without ``results``, the
     table's records (one dict per row) are the results.
     """
-    params = {
-        "command": args.command,
-        "p": args.p,
-        "q": args.q,
-        "n": args.n,
-        "x": args.x,
-        "gamma": args.gamma,
-        "shots": args.shots,
-        "seed": args.seed,
-        "grid": args.grid,
-    }
+    params = {key: getattr(args, key) for key in _PARAMS}
     params.update(extra)
     payload = {"params": params, "columns": columns}
     if results is not None:
@@ -194,10 +189,6 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"sweeping {args.swept} requires --from and --to")
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"sweep range [{start}, {stop}] must be finite")
-    if args.grid < 1:
-        raise ValueError("empty sweep range: --grid must be at least 1")
-    if args.grid > MAX_GRID:
-        raise ValueError(f"--grid: {args.grid} points exceed the maximum of {MAX_GRID}")
     if stop < start:
         raise ValueError(f"inverted sweep range [{start}, {stop}]")
     grid = np.linspace(start, stop, args.grid)
@@ -277,7 +268,7 @@ def cmd_tomo(args) -> dict:
     return _payload(args, columns, results, tensor_file=token)
 
 
-#: The ``.12g`` text of the non-finite floats.
+#: The ``repr`` and ``.12g`` text of the non-finite floats.
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 #: Characters for which ``csv.writer`` may quote a field.
@@ -316,16 +307,41 @@ def _csv_tokens(column: list) -> list:
     return tokens
 
 
-def _column_tokens(column: list, tokens) -> list:
-    """``tokens(column)``, with a column that repeats one object formatted once.
+def _json_tokens(column: list) -> list:
+    """JSON text of each cell of a column of scalars: ``float.__repr__`` for
+    floats, as the C encoder writes them, and for the rest one C-encoder call,
+    split on its item separator (no scalar's JSON text holds a newline)."""
+    try:
+        tokens = list(map(float.__repr__, column))
+    except TypeError:  # a cell that is not a float
+        return _flat_encoder(0)(column)[1:-1].split(",\n  ")
+    if not _NON_FINITE.isdisjoint(tokens):
+        raise ValueError("non-finite value")
+    return tokens
 
-    The test is identity, not equality: ``0.0 == -0.0``, and a NaN must still
-    reach ``tokens`` to be refused.
-    """
-    first = column[0]
-    if all(map(is_, column, repeat(first))):
-        return tokens([first]) * len(column)
-    return tokens(column)
+
+def _row_texts(columns: dict, labels, tokens, opening: str = "", closing: str = "") -> list:
+    """JSON records or CSV rows: ``opening``, each column's label and cell joined
+    by commas, and ``closing``, filled into one ``%`` template per row.  A
+    column that repeats one object (by identity: ``0.0 == -0.0``, and a NaN
+    must still reach ``tokens`` to be refused) is formatted once, into the
+    template; every other column once per distinct list object."""
+    m = len(next(iter(columns.values())))
+    if not m:
+        return []
+    cells, varying, memo = [], [], {}
+    for label, column in zip(labels, columns.values()):
+        if id(column) not in memo:
+            first = column[0]
+            memo[id(column)] = (tokens([first])[0].replace("%", "%%")
+                                if all(map(is_, column, repeat(first))) else tokens(column))
+        cell = memo[id(column)]
+        if isinstance(cell, list):
+            varying.append(cell)
+            cell = "%s"
+        cells.append(label.replace("%", "%%") + cell)
+    template = opening + ",".join(cells) + closing
+    return [template % row for row in zip(*varying)] if varying else [template % ()] * m
 
 
 def _csv_text(echo: dict, columns: dict) -> str:
@@ -333,10 +349,8 @@ def _csv_text(echo: dict, columns: dict) -> str:
     m = len(next(iter(columns.values())))
     table = {key: [value] * m for key, value in echo.items()}
     table.update(columns)
-    lines = [",".join(map(_csv_field, table))]
-    lines += map(",".join, zip(*(_column_tokens(column, _csv_tokens)
-                                 for column in table.values())))
-    return "\n".join(lines) + "\n"
+    return "".join([",".join(map(_csv_field, table)) + "\n",
+                    *_row_texts(table, repeat(""), _csv_tokens, closing="\n")])
 
 
 @functools.cache
@@ -346,27 +360,12 @@ def _flat_encoder(depth: int):
     return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")).encode
 
 
-def _json_tokens(column: list) -> list:
-    """JSON text of each cell of a column of scalars, from one C-encoder call.
-
-    No scalar's JSON text holds a newline, so the item separator splits it.
-    """
-    return _flat_encoder(0)(column)[1:-1].split(",\n  ")
-
-
 def _records_text(columns: dict, depth: int) -> str:
-    """``_json_text`` of the records (one dict per row) of a column table at ``depth``.
-
-    Each record is one ``%`` template filled from per-column token lists.
-    """
-    if not next(iter(columns.values())):
-        return "[]"
+    """``_json_text`` of the records (one dict per row) of a column table at ``depth``."""
     pad = "\n" + "  " * (depth + 1)
-    fields = ",".join(f"{pad}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
-                      for key in columns)
-    template = "{" + fields + pad + "}"
-    cells = zip(*(_column_tokens(column, _json_tokens) for column in columns.values()))
-    return "[" + pad + ("," + pad).join([template % row for row in cells]) + "\n" + "  " * depth + "]"
+    labels = [f"{pad}  {encode_basestring_ascii(key)}: " for key in columns]
+    records = _row_texts(columns, labels, _json_tokens, "{", pad + "}")
+    return f"[{pad}{(',' + pad).join(records)}\n{'  ' * depth}]" if records else "[]"
 
 
 def _json_text(node, depth: int = 0) -> str:
@@ -421,7 +420,8 @@ def emit(payload: dict, args):
         if args.fmt == "json":
             results = (_json_text(payload["results"], 1) if "results" in payload
                        else _records_text(columns, 1))
-            text = '{\n  "params": ' + _json_text(params, 1) + ',\n  "results": ' + results + "\n}\n"
+            # an f-string copies the records once, a chain of + once per operator
+            text = f'{{\n  "params": {_json_text(params, 1)},\n  "results": {results}\n}}\n'
         else:
             echo = {c: params[c] for c in _ECHO_COLUMNS if c not in columns}
             text = _csv_text(echo, columns)

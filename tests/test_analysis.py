@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdilemma.analysis import (
@@ -154,6 +155,36 @@ class TestCriticalCorruption:
         assert quantum_ne_payoff(table, 0.0) == pytest.approx(1e308 / 3 * 2, rel=1e-15)
         assert math.isfinite(quantum_ne_payoff(table, 1.0))
         assert dominance(table, 0.0)["dominant"] == "quantum"
+
+    @settings(deadline=None)
+    @given(log_n=st.floats(-5.0, 308.0), log_ratio=st.floats(0.0, 20.0),
+           p_frac=st.one_of(st.floats(0.0, 1.0), st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
+    def test_in_half_open_interval_for_random_tables(self, log_n, log_ratio, p_frac):
+        # n / q up to 1e20 and p up to q, where x_c comes closest to 1/2
+        n = 10.0**log_n
+        q = n / 10.0**log_ratio
+        p = q * p_frac
+        assume(0.0 < p < q < n)
+        x_c = critical_corruption(PayoffTable(p, q, n))
+        assert x_c is None or 0.0 < x_c <= 0.5
+        # exactly, 1/2 - x_c = (3q/2 - p) / (4n - 3q); x_c rounds to 1/2 only
+        # where that is a few units in the last place of 1/2 (2**-54 each)
+        gap = (Fraction(3, 2) * Fraction(q) - Fraction(p)) / (4 * Fraction(n) - 3 * Fraction(q))
+        if x_c is not None and gap > 2.0**-51:
+            assert x_c < 0.5
+
+    def test_capped_at_half(self):
+        # the unscaled and the scaled expression both round to 0.5000000000000001
+        table = PayoffTable(0.99 * 2.4e-16, 2.4e-16, 1.0)
+        assert critical_corruption(table) == 0.5
+        assert sweep(table, "q", [2.4e-16])["x_c"] == [0.5]
+
+    def test_below_half_below_n_2_53_at_the_default_stakes(self):
+        # in sampled checks x_c stays below 1/2 up to n = 2**53; past it some n reach 1/2
+        below = np.nextafter(2.0**53, 0.0) - np.arange(100.0)
+        for n in [*np.geomspace(3.0, 2.0**53, 200, endpoint=False), *below]:
+            assert critical_corruption(PayoffTable(1.0, 2.0, float(n))) < 0.5
+        assert critical_corruption(PayoffTable(1.0, 2.0, 9415651814089914.0)) == 0.5
 
     def test_rounds_to_half_near_n_1e17(self):
         # x_c < 1/2 exactly; in floating point it reaches 1/2 near n = 1e17

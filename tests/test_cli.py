@@ -335,6 +335,11 @@ class TestSharedFlags:
         pytest.param(["tomo", "reconstruct", PLAIN_TEXT], PLAIN_TEXT, id="not-json"),
         pytest.param(["tomo", "forward", PLAIN_TEXT], PLAIN_TEXT, id="not-a-matrix"),
         pytest.param(["sweep", "x", "--grid", str(MAX_GRID + 1)], "--grid", id="grid-above-cap"),
+        pytest.param(["sweep", "x", "--grid", "0"], "--grid", id="empty-grid"),
+        # checked whatever the command, like --gamma, --x and the stakes
+        pytest.param(["xc", "--grid", "-5"], "--grid", id="grid-on-xc"),
+        pytest.param(["play", "XIX", "--shots", "-3"], "--shots", id="shots-on-play"),
+        pytest.param(["classes", "--shots", str(2**63)], "--shots", id="huge-shots-on-classes"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):
@@ -407,19 +412,22 @@ ECHO_KEYS = ("p", "q", "n", "x", "gamma", "seed")
 @st.composite
 def column_tables(draw, min_rows=0):
     """Column tables of scalars: columns that repeat one object, such as held
-    stakes, next to mixed ones and to mixes of 0.0 and -0.0."""
+    stakes, next to mixed ones, to mixes of 0.0 and -0.0, and to one list
+    object under two keys, as ``sweep``'s ``value`` and swept columns."""
     m = draw(st.integers(min_rows, 6))
-    keys = draw(st.lists(st.one_of(st.text(), st.sampled_from(ECHO_KEYS)), min_size=1,
-                         max_size=6, unique=True))
+    keys = draw(st.lists(st.one_of(st.text(), st.sampled_from(ECHO_KEYS + ("%s", "100%"))),
+                         min_size=1, max_size=6, unique=True))
     table = {}
     for key in keys:
-        kind = draw(st.sampled_from(["repeated", "mixed", "signed zeros"]))
-        if kind == "repeated":
+        kind = draw(st.sampled_from(["repeated", "mixed", "signed zeros", "aliased"]))
+        if kind == "aliased" and table:
+            table[key] = table[draw(st.sampled_from(list(table)))]
+        elif kind == "repeated":
             table[key] = [draw(CELLS)] * m
-        elif kind == "mixed":
-            table[key] = draw(st.lists(CELLS, min_size=m, max_size=m))
-        else:
+        elif kind == "signed zeros":
             table[key] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=m, max_size=m))
+        else:
+            table[key] = draw(st.lists(CELLS, min_size=m, max_size=m))
     return table
 
 

@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from qdilemma import analysis, cli, tomography
-from qdilemma.game import evolve, parse_profile
+from qdilemma.game import PayoffTable, evolve, parse_profile
 
 from helpers import subprocess_env
 
@@ -53,9 +54,39 @@ def test_sweep_emit_encodes_columns_not_records(monkeypatch):
 
     monkeypatch.setattr(cli, "_flat_encoder", counting)
     args = cli.build_parser().parse_args(["sweep", "x", "--grid", "2001"])
-    payload = args.handler(args)
+    payload = cli.cmd_sweep(args)
     with contextlib.redirect_stdout(io.StringIO()) as out:
         cli.emit(payload, args)
     assert len(json.loads(out.getvalue())["results"]) == 2001
     # at most one call per column, and one for params
     assert len(calls) <= len(analysis.SWEEP_COLUMNS) + 1
+
+
+@pytest.mark.parametrize("swept, grid", [("x", [0.0, 0.5, 1.0]), ("n", [3.0, 9.0]), ("q", [1.5, 2.5])])
+def test_sweep_value_is_the_swept_column(swept, grid):
+    columns = analysis.sweep(PayoffTable(), swept, grid)
+    assert columns["value"] is columns[swept]
+
+
+@pytest.mark.parametrize("fmt, tokens", [("json", "_json_tokens"), ("csv", "_csv_tokens")])
+def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens):
+    lengths = []
+    original = getattr(cli, tokens)
+
+    def counting(column):
+        lengths.append(len(column))
+        return original(column)
+
+    monkeypatch.setattr(cli, tokens, counting)
+    args = cli.build_parser().parse_args(["sweep", "x", "--grid", "2001", "--format", fmt])
+    payload = cli.cmd_sweep(args)
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.emit(payload, args)
+    # value and x are one list; quantum, classical and the two simulated means vary
+    assert lengths.count(2001) == 5
+    # every other column repeats one object and is formatted from its first cell
+    assert set(lengths) == {1, 2001}
+
+
+def test_one_parser_per_process():
+    assert cli.build_parser() is cli.build_parser()
