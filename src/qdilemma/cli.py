@@ -20,7 +20,6 @@ import stat
 import sys
 import tempfile
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from operator import is_
 
 import numpy as np
@@ -33,6 +32,14 @@ _BITS_RE = re.compile(r"[01]{3}")
 
 #: Most points a sweep may have (a 2001-point JSON sweep is about 760 KB).
 MAX_GRID = 100_000
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors leave through ``main``'s one ``error:`` line
+    instead of a usage block; its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message.removeprefix("argument "))
 
 
 @functools.cache
@@ -52,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", default=None, metavar="PATH",
                         help="write to PATH (atomically) instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdilemma",
         description="Noisy three-player quantum dilemma game: simulation and analysis.",
     )
@@ -81,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_shared(args)
         # looked up per call, so that a wrapped ``cmd_*`` is the one that runs
         payload = globals()[f"cmd_{args.command}"](args)
@@ -259,8 +266,8 @@ def cmd_tomo(args) -> dict:
             raise ValueError(f"{token}: not a JSON file: {exc}") from None
     try:
         tensor = np.array(doc["results"]["tensor"], dtype=float)
-    except (KeyError, TypeError):
-        raise ValueError(f"{token!r} does not contain a results.tensor block") from None
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{token}: does not contain a results.tensor block") from None
     rho = tomography.reconstruct(tensor)
     columns = dict(zip(("row", "col"), np.indices(rho.shape).reshape(2, -1).tolist()))
     columns.update(re=rho.real.ravel().tolist(), im=rho.imag.ravel().tolist())
@@ -307,6 +314,10 @@ def _csv_tokens(column: list) -> list:
     return tokens
 
 
+#: The C encoder of a list of scalars, one item per line.
+_ENCODE_CELLS = json.JSONEncoder(allow_nan=False, separators=(",\n", ": ")).encode
+
+
 def _json_tokens(column: list) -> list:
     """JSON text of each cell of a column of scalars: ``float.__repr__`` for
     floats, as the C encoder writes them, and for the rest one C-encoder call,
@@ -314,7 +325,7 @@ def _json_tokens(column: list) -> list:
     try:
         tokens = list(map(float.__repr__, column))
     except TypeError:  # a cell that is not a float
-        return _flat_encoder(0)(column)[1:-1].split(",\n  ")
+        return _ENCODE_CELLS(column)[1:-1].split(",\n")
     if not _NON_FINITE.isdisjoint(tokens):
         raise ValueError("non-finite value")
     return tokens
@@ -353,47 +364,19 @@ def _csv_text(echo: dict, columns: dict) -> str:
                     *_row_texts(table, repeat(""), _csv_tokens, closing="\n")])
 
 
-@functools.cache
-def _flat_encoder(depth: int):
-    """C-encoder of a container at ``depth`` that holds no container: each item
-    on its own line, indented for ``depth + 1``."""
-    return json.JSONEncoder(allow_nan=False, separators=(",\n" + "  " * (depth + 1), ": ")).encode
-
-
 def _records_text(columns: dict, depth: int) -> str:
-    """``_json_text`` of the records (one dict per row) of a column table at ``depth``."""
+    """``json.dumps(..., indent=2)`` of the records (one dict per row) of a
+    column table, at ``depth``."""
     pad = "\n" + "  " * (depth + 1)
-    labels = [f"{pad}  {encode_basestring_ascii(key)}: " for key in columns]
+    labels = [f"{pad}  {json.dumps(key)}: " for key in columns]
     records = _row_texts(columns, labels, _json_tokens, "{", pad + "}")
     return f"[{pad}{(',' + pad).join(records)}\n{'  ' * depth}]" if records else "[]"
 
 
-def _json_text(node, depth: int = 0) -> str:
-    """``json.dumps(node, indent=2, allow_nan=False)``, byte for byte, for string keys.
-
-    Only the nesting is written here; each flat container (``params``, an
-    innermost tensor row) is one C-encoder call.
-    """
-    if isinstance(node, dict):
-        children, opening, closing = node.values(), "{", "}"
-    elif isinstance(node, (list, tuple)):
-        children, opening, closing = node, "[", "]"
-    else:
-        return _flat_encoder(depth)(node)
-    if not node:
-        return opening + closing
-    pad = "\n" + "  " * (depth + 1)
-    # an empty child container takes this path too, and is written as {} or []
-    if any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, children))):
-        if opening == "[":
-            items = (_json_text(child, depth + 1) for child in node)
-        else:
-            items = (encode_basestring_ascii(key) + ": " + _json_text(child, depth + 1)
-                     for key, child in node.items())
-        body = ("," + pad).join(items)
-    else:
-        body = _flat_encoder(depth)(node)[1:-1]
-    return opening + pad + body + "\n" + "  " * depth + closing
+def _nested_text(node) -> str:
+    """``json.dumps(node, indent=2, allow_nan=False)`` at depth 1: JSON text
+    holds no raw newline but those of its indentation."""
+    return json.dumps(node, indent=2, allow_nan=False).replace("\n", "\n  ")
 
 
 def _first_non_finite(node, path=""):
@@ -418,10 +401,10 @@ def emit(payload: dict, args):
     params, columns = payload["params"], payload["columns"]
     try:
         if args.fmt == "json":
-            results = (_json_text(payload["results"], 1) if "results" in payload
+            results = (_nested_text(payload["results"]) if "results" in payload
                        else _records_text(columns, 1))
             # an f-string copies the records once, a chain of + once per operator
-            text = f'{{\n  "params": {_json_text(params, 1)},\n  "results": {results}\n}}\n'
+            text = f'{{\n  "params": {_nested_text(params)},\n  "results": {results}\n}}\n'
         else:
             echo = {c: params[c] for c in _ECHO_COLUMNS if c not in columns}
             text = _csv_text(echo, columns)

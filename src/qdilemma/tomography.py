@@ -75,7 +75,7 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
     shots = int(shots)
     # the binomial draw takes a C long
     if not 1 <= shots < 2**63:
-        raise ValueError(f"--shots: shots must be an integer in [1, 2**63 - 1], got {shots}")
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
     p_plus = np.clip((1.0 + expectations(rho).ravel()) / 2.0, 0.0, 1.0)
     bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)

@@ -319,6 +319,11 @@ class TestEmitBackstop:
 #: A file that exists and is neither JSON nor a matrix file.
 PLAIN_TEXT = str(Path(__file__).with_name("conftest.py"))
 
+#: JSON files whose ``results.tensor`` is not numeric, or ragged.
+DATA = Path(__file__).with_name("data")
+NOT_NUMERIC_TENSOR = str(DATA / "tensor_not_numeric.json")
+RAGGED_TENSOR = str(DATA / "tensor_ragged.json")
+
 
 class TestSharedFlags:
     @pytest.mark.parametrize("argv, flag", [
@@ -333,6 +338,9 @@ class TestSharedFlags:
         (["sweep", "x", "--grid", "100000000000000000000"], "--grid"),
         (["tomo", "estimate", "HIX", "--shots", str(2**63)], "--shots"),
         pytest.param(["tomo", "reconstruct", PLAIN_TEXT], PLAIN_TEXT, id="not-json"),
+        pytest.param(["tomo", "reconstruct", NOT_NUMERIC_TENSOR], NOT_NUMERIC_TENSOR,
+                     id="tensor-not-numeric"),
+        pytest.param(["tomo", "reconstruct", RAGGED_TENSOR], RAGGED_TENSOR, id="tensor-ragged"),
         pytest.param(["tomo", "forward", PLAIN_TEXT], PLAIN_TEXT, id="not-a-matrix"),
         pytest.param(["sweep", "x", "--grid", str(MAX_GRID + 1)], "--grid", id="grid-above-cap"),
         pytest.param(["sweep", "x", "--grid", "0"], "--grid", id="empty-grid"),
@@ -340,12 +348,130 @@ class TestSharedFlags:
         pytest.param(["xc", "--grid", "-5"], "--grid", id="grid-on-xc"),
         pytest.param(["play", "XIX", "--shots", "-3"], "--shots", id="shots-on-play"),
         pytest.param(["classes", "--shots", str(2**63)], "--shots", id="huge-shots-on-classes"),
+        # values argparse cannot convert leave through the same line
+        pytest.param(["sweep", "x", "--grid", "abc"], "--grid", id="grid-not-an-int"),
+        pytest.param(["xc", "--shots", "1.5"], "--shots", id="shots-not-an-int"),
+        pytest.param(["play", "XIX", "--format", "xml"], "--format", id="unknown-format"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):
         code, out, err = run(capsys, *argv, "--format", fmt)
         assert code == 2
         assert_one_error(code, out, err, f"error: {flag}: ")
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qdilemma")
+
+
+#: Huge, negative, non-finite and non-numeric values, which most flags refuse.
+BAD_NUMBERS = ("-1", "1e308", "-1e308", "1e400", "nan", "inf", "-inf", "abc", "", "1.5",
+               str(2**63), str(-2**63), "1" + "0" * 5000)
+#: Per flag: values that fit it alone (small, so that sweeps and estimates stay
+#: quick), and values that mostly do not.
+FLAG_VALUES = {
+    "--p": (("1", "0.5", "1.5"), BAD_NUMBERS),
+    "--q": (("2", "1.5", "3"), BAD_NUMBERS),
+    "--n": (("9", "20", "1e308"), BAD_NUMBERS),
+    "--x": (("0", "0.25", "1"), BAD_NUMBERS),
+    "--gamma": (("0", "0.7", "1.5707963267948966"), BAD_NUMBERS),
+    "--from": (("0", "1", "3"), BAD_NUMBERS),
+    "--to": (("1", "3", "9"), BAD_NUMBERS),
+    "--seed": (("0", "-1", "42", str(2**70)), ("1.5", "abc", "", "nan")),
+    "--grid": (("1", "2", "5"), ("0", "-5", "1.5", "abc", "nan", str(MAX_GRID + 1), str(2**63))),
+    "--shots": (("1", "100", str(2**63 - 1)), ("0", "-3", "1.5", "abc", str(2**63))),
+    "--format": (("json", "csv"), ("xml", "")),
+}
+#: Positionals after each subcommand, most of them fitting.
+POSITIONALS = {
+    "play": (["XIX"], ["hhh"], ["xhi"], ["XYZ"], ["IIII"], [], ["XIX", "XIX"]),
+    "classes": ([], [], ["XIX"]),
+    "sweep": (["x"], ["n"], ["q"], ["p"], [], ["x", "x"]),
+    "xc": ([], [], ["XIX"]),
+}
+TASKS = ("forward", "estimate", "reconstruct", "fidelity", "bogus")
+
+
+@st.composite
+def argvs(draw, files):
+    """argv for each subcommand, or none: fitting and unfitting positionals,
+    and a few flags, each with a fitting or an unfitting value, mostly after
+    the subcommand."""
+    command = draw(st.sampled_from((*POSITIONALS, "tomo") * 3 + ("bogus", "")))
+    if command == "tomo":
+        inputs = st.sampled_from(("XIX", "class7_appendix", "101") * 2 + ("XYZ", *files[2:]))
+        count = draw(st.sampled_from((1, 1, 2, 2, 0, 3)))
+        head = [command, draw(st.sampled_from(TASKS)), *(draw(inputs) for _ in range(count))]
+    else:
+        head = [command, *draw(st.sampled_from(POSITIONALS.get(command, [[]])))] if command else []
+    # a range for sweeps; --from and --to are unknown to the other commands
+    names = sorted(FLAG_VALUES)
+    if command == "sweep":
+        flags = draw(st.sampled_from(([], ["--from", "3", "--to", "9"], ["--from", "0", "--to", "1"])))
+    else:
+        flags, names = [], [name for name in names if name not in ("--from", "--to")]
+    for flag in draw(st.lists(st.sampled_from(names), unique=True, max_size=4)):
+        good, bad = FLAG_VALUES[flag]
+        fits = draw(st.sampled_from((True, True, True, False)))
+        flags += [flag, draw(st.sampled_from(good if fits else bad))]
+    if draw(st.booleans()):
+        flags += ["--output", draw(st.sampled_from(files[:2]))]
+    # unknown to every parser, ambiguous between --shots and --seed, unknown but to sweep
+    flags += draw(st.sampled_from(([],) * 8 + (["--bogus", "1"], ["--s", "1"], ["--from", "0"])))
+    return head + flags if draw(st.sampled_from((True,) * 9 + (False,))) else flags + head
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The output file, a path under a missing directory, and inputs: a tensor
+    file, a bad tensor file, a plain text file, a directory and a missing file."""
+    root = tmp_path_factory.mktemp("argv")
+    tensor = str(root / "tensor.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["tomo", "forward", "HIX", "--output", tensor]) == 0
+    return (str(root / "out"), str(root / "missing" / "out"), tensor, RAGGED_TENSOR,
+            PLAIN_TEXT, str(root), str(root / "missing.json"))
+
+
+def refuse(constant):
+    raise ValueError(f"not strict JSON: {constant}")
+
+
+class TestAnyArgv:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data())
+    def test_exit_0_is_a_document_and_exit_2_one_error_line(self, argv_files, data):
+        argv = data.draw(argvs(argv_files), label="argv")
+        output = argv_files[0]
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                pytest.fail(f"SystemExit({exc.code}) escaped main")
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+            return
+        assert code == 0
+        if output in argv:
+            assert out.getvalue() == ""
+            text = Path(output).read_text(encoding="utf-8")
+            os.unlink(output)
+        else:
+            text = out.getvalue()
+        if "csv" in argv:
+            header, *rows = csv.reader(io.StringIO(text))
+            assert rows and {len(row) for row in rows} == {len(header)}
+            # the echo columns a row does not carry, then the row's own fields
+            assert len(set(header)) == len(header)
+            assert any(header[:k] == [c for c in ECHO_KEYS if c not in header[k:]]
+                       for k in range(len(ECHO_KEYS) + 1))
+        else:
+            assert list(json.loads(text, parse_constant=refuse)) == ["params", "results"]
 
 
 def json_docs():

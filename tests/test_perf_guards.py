@@ -45,14 +45,19 @@ def test_no_np_kron_on_import_or_evolve():
 
 
 def test_sweep_emit_encodes_columns_not_records(monkeypatch):
-    calls = []
-    flat_encoder = cli._flat_encoder
+    labels, calls = [], []
+    encode_cells, dumps = cli._ENCODE_CELLS, json.dumps
 
-    def counting(depth):
-        calls.append(depth)
-        return flat_encoder(depth)
+    def counting_cells(column):
+        calls.append(column)
+        return encode_cells(column)
 
-    monkeypatch.setattr(cli, "_flat_encoder", counting)
+    def counting_dumps(node, **kwargs):
+        (labels if isinstance(node, str) else calls).append(node)
+        return dumps(node, **kwargs)
+
+    monkeypatch.setattr(cli, "_ENCODE_CELLS", counting_cells)
+    monkeypatch.setattr(cli.json, "dumps", counting_dumps)
     args = cli.build_parser().parse_args(["sweep", "x", "--grid", "2001"])
     payload = cli.cmd_sweep(args)
     with contextlib.redirect_stdout(io.StringIO()) as out:
@@ -60,6 +65,8 @@ def test_sweep_emit_encodes_columns_not_records(monkeypatch):
     assert len(json.loads(out.getvalue())["results"]) == 2001
     # at most one call per column, and one for params
     assert len(calls) <= len(analysis.SWEEP_COLUMNS) + 1
+    # and one per record label
+    assert len(labels) == len(analysis.SWEEP_COLUMNS)
 
 
 @pytest.mark.parametrize("swept, grid", [("x", [0.0, 0.5, 1.0]), ("n", [3.0, 9.0]), ("q", [1.5, 2.5])])

@@ -138,7 +138,7 @@ class TestEstimateExpectations:
 
     def test_shots_are_bounded_by_a_c_long(self):
         rho = basis_density("101")
-        with pytest.raises(ValueError, match="--shots"):
+        with pytest.raises(ValueError, match=r"^shots must be an integer in \[1, 2\*\*63 - 1\], got "):
             estimate_expectations(rho, shots=2**63)
         # the standard error at 2**63 - 1 shots is about 3e-10
         np.testing.assert_allclose(estimate_expectations(rho, shots=2**63 - 1),
