@@ -12,8 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .game import DEFAULT_GAMMA, PayoffTable, _check_gamma, mean_payoff
-from .noise import check_corruption, corrupted_input
+from .game import DEFAULT_GAMMA, PayoffTable, _check_gamma, check_corruption, outcomes, payoff, play
 
 #: Census label of each strategy class and its multiset as a sorted letter
 #: triple.  Two ties in the reference payoffs are settled by convention: the
@@ -63,7 +62,7 @@ def simulated_class_mean(multiset, table: PayoffTable, x: float = 0.0,
     Any ordering of the multiset gives the same mean, so the sorted triple
     itself serves as the representative profile.
     """
-    return mean_payoff(multiset, table, corrupted_input(x), gamma)
+    return payoff(play(multiset, x, gamma), table).mean
 
 
 def _scaled_stakes(p, q, n):
@@ -164,7 +163,7 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     the full effective parameter set.  Grid points whose stakes violate
     0 < p < q < n, or whose corruption lies outside [0, 1], are kept with
     ``valid`` false and the message of :class:`~qdilemma.game.PayoffTable`
-    or :func:`~qdilemma.noise.check_corruption` as ``error`` instead of numbers.
+    or :func:`~qdilemma.game.check_corruption` as ``error`` instead of numbers.
     A value that does not vary along the grid, such as a held stake, is one
     object repeated in its column.
 
@@ -172,9 +171,9 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     per-point scalar functions' results bit for bit.  For a corruption sweep
     each point also carries simulated cross-checks: the mean payoff of a
     mixed-class profile and of the all-flip profile on the corrupted input.
-    The circuit and the payoff are linear in the input
-    ``(1-x)|000><000| + x|111><111|``, so both are simulated once at ``x = 0``
-    and ``x = 1`` and interpolated along the grid.
+    The payoff is linear in the input ``(1-x)|000><000| + x|111><111|``, so
+    each mean is taken at ``x = 0`` and ``x = 1`` from the two rows of one
+    :func:`~qdilemma.game.outcomes` call and interpolated along the grid.
 
     Raises on an out-of-range gamma or an empty grid.
     """
@@ -196,10 +195,9 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     p, q, n, xs = operands["p"], operands["q"], operands["n"], operands["x"]
 
     if swept == "x":
-        mixed0, mixed1 = (simulated_class_mean(("H", "I", "X"), table, end, gamma)
-                          for end in (0.0, 1.0))
-        flip0, flip1 = (simulated_class_mean(("X", "X", "X"), table, end, gamma)
-                        for end in (0.0, 1.0))
+        (mixed0, mixed1), (flip0, flip1) = (
+            [payoff(row / row.sum(), table).mean for row in outcomes(profile, gamma)]
+            for profile in (("H", "I", "X"), ("X", "X", "X")))
 
     # invalid points may hold any numbers here; they are replaced below
     with np.errstate(all="ignore"):

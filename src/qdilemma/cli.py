@@ -108,7 +108,7 @@ def main(argv=None) -> int:
 def _check_shared(args):
     """Reject an out-of-range shared flag whatever the command."""
     for flag, check, value in (("--gamma", game._check_gamma, args.gamma),
-                               ("--x", noise.check_corruption, args.x),
+                               ("--x", game.check_corruption, args.x),
                                ("--p/--q/--n", _table, args)):
         try:
             check(value)
@@ -154,14 +154,12 @@ def _table(args) -> PayoffTable:
 
 
 def cmd_play(args) -> dict:
-    profile = game.parse_profile(args.profile)
-    table = _table(args)
-    probs = game.play(profile, noise.corrupted_input(args.x), args.gamma)
-    pay = game.payoff(probs, table)
+    probs = game.play(game.parse_profile(args.profile), args.x, args.gamma)
+    pay = game.payoff(probs, _table(args))
     name = args.profile.upper()
     results = {
         "profile": name,
-        "probabilities": {outcome: probs[k] for k, outcome in enumerate(game.OUTCOMES)},
+        "probabilities": dict(zip(game.OUTCOMES, probs)),
         "payoffs": {
             "player1": pay.player1,
             "player2": pay.player2,
@@ -170,7 +168,7 @@ def cmd_play(args) -> dict:
         },
     }
     row = {"profile": name}
-    row.update((f"prob_{outcome}", probs[k]) for k, outcome in enumerate(game.OUTCOMES))
+    row.update((f"prob_{outcome}", prob) for outcome, prob in zip(game.OUTCOMES, probs))
     row.update(payoff1=pay.player1, payoff2=pay.player2, payoff3=pay.player3, mean=pay.mean)
     return _payload(args, _row_table(row), results, profile=name)
 
@@ -213,24 +211,27 @@ def cmd_xc(args) -> dict:
     return _payload(args, _row_table(row), results)
 
 
-def _resolve_state(token: str, args) -> np.ndarray:
-    """A state argument: strategy profile, bundled reference name, or file path."""
+def _resolve_state(token: str, args, role: str = "STATE", raw: bool = True) -> np.ndarray:
+    """A state argument: strategy profile, bundled reference name, or file path,
+    and for a TARGET also a basis bit string.  A bundled or file state that is
+    not a raw state, or unless ``raw`` a physical one, is named by role and token."""
+    if role == "TARGET" and _BITS_RE.fullmatch(token):
+        return linalg.basis_density(token)
     if _PROFILE_RE.fullmatch(token):
         profile = game.parse_profile(token)
         return game.evolve(profile, noise.corrupted_input(args.x), args.gamma)
     if token in tomography.REFERENCE_STATES:
-        return tomography.load_reference_state(token)
-    if os.path.exists(token):
-        return tomography.read_density_matrix(token)
-    raise ValueError(
-        f"cannot resolve state {token!r}: not a profile, bundled reference state, or file"
-    )
-
-
-def _resolve_target(token: str, args) -> np.ndarray:
-    if _BITS_RE.fullmatch(token):
-        return linalg.basis_density(token)
-    return _resolve_state(token, args)
+        rho = tomography.load_reference_state(token)
+    elif os.path.exists(token):
+        rho = tomography.read_density_matrix(token)
+    else:
+        raise ValueError(
+            f"cannot resolve state {token!r}: not a profile, bundled reference state, or file"
+        )
+    try:
+        return linalg.validate_density_matrix(rho, 3, raw)
+    except ValueError as exc:
+        raise ValueError(f"{role} {token}: {exc}") from None
 
 
 def _tensor_payload(args, t: np.ndarray, token: str) -> dict:
@@ -245,7 +246,7 @@ def cmd_tomo(args) -> dict:
         if len(args.inputs) != 2:
             raise ValueError("tomo fidelity takes exactly two inputs: STATE TARGET")
         state = _resolve_state(args.inputs[0], args)
-        target = _resolve_target(args.inputs[1], args)
+        target = _resolve_state(args.inputs[1], args, "TARGET", raw=False)
         results = {"fidelity": tomography.fidelity(state, target)}
         return _payload(args, _row_table(results), results, state=args.inputs[0],
                         target=args.inputs[1])
@@ -256,7 +257,8 @@ def cmd_tomo(args) -> dict:
         t = tomography.expectations(_resolve_state(token, args))
         return _tensor_payload(args, t, token)
     if task == "estimate":
-        t = tomography.estimate_expectations(_resolve_state(token, args), args.shots, args.seed)
+        state = _resolve_state(token, args, raw=False)
+        t = tomography.estimate_expectations(state, args.shots, args.seed)
         return _tensor_payload(args, t, token)
     # reconstruct: token is a JSON file from a previous forward/estimate run
     with open(token, encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ DEFAULT_GAMMA = np.pi / 2
 #: Measurement outcomes as bit strings, index order.
 OUTCOMES = tuple(f"{k:03b}" for k in range(8))
 
-#: Negative probabilities above this magnitude are a simulation error, not rounding.
+#: Negative probabilities above this magnitude are not rounding; :func:`payoff` refuses them.
 NEG_PROB_TOL = 1e-12
 
 PROB_SUM_TOL = 1e-10
@@ -69,6 +69,14 @@ def rx(angle: float) -> np.ndarray:
 def _check_gamma(gamma: float):
     if not 0.0 <= gamma <= np.pi / 2:
         raise ValueError(f"gamma must lie in [0, pi/2], got {gamma}")
+
+
+def check_corruption(x: float) -> float:
+    """Validate a corruption probability and return it as a float."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"corruption must lie in [0, 1], got {x}")
+    return x
 
 
 #: X⊗X⊗X, the operator the entangler mixes with the identity.
@@ -167,16 +175,20 @@ def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA)
     return linalg.conjugate_by(circuit_unitary(profile, gamma), rho)
 
 
-def play(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Outcome distribution of the game: eight computational-basis probabilities.
+def outcomes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+    """Outcome distributions on ``|000>`` and on ``|111>``, as two rows: the squared
+    magnitudes of the circuit unitary's columns 0 and 7."""
+    u = circuit_unitary(profile, gamma)[:, [0, 7]]
+    return (u.real**2 + u.imag**2).T
 
-    Negative diagonal entries within rounding slack are clamped and the
-    distribution renormalized; larger negatives raise.
-    """
-    probs = np.diag(evolve(profile, rho, gamma)).real.copy()
-    if probs.min() < -NEG_PROB_TOL:
-        raise ValueError(f"outcome probability {probs.min():.3e} below rounding slack")
-    np.clip(probs, 0.0, None, out=probs)
+
+def play(profile, x: float = 0.0, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+    """Outcome distribution of the game on the corrupted input: eight
+    computational-basis probabilities, ``1-x`` of the ``|000>`` row of
+    :func:`outcomes` plus ``x`` of its ``|111>`` row, renormalized."""
+    x = check_corruption(x)
+    start, flipped = outcomes(profile, gamma)
+    probs = (1.0 - x) * start + x * flipped
     return probs / probs.sum()
 
 
@@ -189,12 +201,6 @@ def payoff(probs: np.ndarray, table: PayoffTable) -> PayoffVector:
         raise ValueError("not a probability distribution")
     p1, p2, p3 = probs @ table.outcome_payoffs()
     return PayoffVector(float(p1), float(p2), float(p3))
-
-
-def mean_payoff(profile, table: PayoffTable, rho: np.ndarray | None = None,
-                gamma: float = DEFAULT_GAMMA) -> float:
-    """Mean payoff per player for one profile on one input state."""
-    return payoff(play(profile, rho, gamma), table).mean
 
 
 # Two-qubit CNOTs in the |ab> basis (a the more significant bit):

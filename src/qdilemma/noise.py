@@ -11,15 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .game import general_unitary
-
-
-def check_corruption(x: float) -> float:
-    """Validate a corruption probability and return it as a float."""
-    x = float(x)
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"corruption must lie in [0, 1], got {x}")
-    return x
+from .game import check_corruption, general_unitary
 
 
 def corrupted_input(x: float) -> np.ndarray:

@@ -206,6 +206,17 @@ class TestTomo:
         assert code != 0
         assert "cannot resolve" in err
 
+    def test_state_file_that_fails_its_check_is_named(self, capsys, tmp_path):
+        # Hermitian but for one off-diagonal entry; the reader only warns about it
+        real = np.eye(8) / 8
+        real[0, 1] = 0.5
+        path = tmp_path / "skew.txt"
+        path.write_text("\n".join(" ".join(map(str, row)) for row in real)
+                        + "\n\n" + "\n".join(" ".join(["0"] * 8) for _ in range(8)) + "\n")
+        with pytest.warns(UserWarning, match="hermiticity"):
+            code, out, err = run(capsys, "tomo", "forward", str(path))
+        assert_one_error(code, out, err, f"error: STATE {path}: density matrix is not Hermitian")
+
     def test_fidelity_needs_two_inputs(self, capsys):
         code, _, err = run(capsys, "tomo", "fidelity", "class7_appendix")
         assert code != 0
@@ -352,6 +363,11 @@ class TestSharedFlags:
         pytest.param(["sweep", "x", "--grid", "abc"], "--grid", id="grid-not-an-int"),
         pytest.param(["xc", "--shots", "1.5"], "--shots", id="shots-not-an-int"),
         pytest.param(["play", "XIX", "--format", "xml"], "--format", id="unknown-format"),
+        # a state that fails its check is named by its role and token
+        pytest.param(["tomo", "fidelity", "XIX", "class7_appendix"], "TARGET class7_appendix",
+                     id="unphysical-target"),
+        pytest.param(["tomo", "estimate", "class7_appendix"], "STATE class7_appendix",
+                     id="unphysical-estimate-state"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):

@@ -16,17 +16,17 @@ from qdilemma.game import (
     evolve,
     general_unitary,
     global_phase_distance,
-    mean_payoff,
+    outcomes,
     parse_profile,
     payoff,
     play,
     rx,
     strategy_unitary,
 )
-from qdilemma.linalg import basis_density, basis_state, dagger, is_unitary, kron3
+from qdilemma.linalg import basis_density, basis_state, dagger, is_unitary, kron3, max_abs
 from qdilemma.noise import corrupted_input
 
-from helpers import oracle_game_probs, ordered_product, random_mixed_density
+from helpers import oracle_game_probs, ordered_product
 
 TABLE = PayoffTable()
 
@@ -113,37 +113,36 @@ class TestPlay:
         probs = play(parse_profile("XIX"))
         np.testing.assert_allclose(probs, basis_state("101").real, atol=1e-12)
 
-    def test_matches_oracle_on_random_inputs(self, rng):
-        for _ in range(10):
-            letters = "".join(rng.choice(list("IHX"), size=3))
-            rho = random_mixed_density(rng)
-            np.testing.assert_allclose(
-                play(parse_profile(letters), rho),
-                oracle_game_probs(letters, rho, np.pi / 2),
-                atol=1e-12,
-            )
+    @settings(deadline=None)
+    @given(profile=st.sampled_from(list(product("IHX", repeat=3))),
+           gamma=st.floats(0.0, np.pi / 2), x=st.floats(0.0, 1.0))
+    def test_matches_oracle_on_random_inputs(self, profile, gamma, x):
+        # the oracle conjugates the full 8x8 input; play mixes two outcome rows
+        expected = oracle_game_probs("".join(profile), corrupted_input(x), gamma)
+        assert max_abs(play(profile, x, gamma) - expected) <= 1e-15
 
-    def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="3-qubit"):
-            play(parse_profile("III"), np.eye(4) / 4)
+    @settings(deadline=None)
+    @given(profile=st.sampled_from(list(product("IHX", repeat=3))),
+           gamma=st.floats(0.0, np.pi / 2), end=st.sampled_from([(0.0, "000"), (1.0, "111")]))
+    def test_endpoints_are_the_evolved_diagonal_bit_for_bit(self, profile, gamma, end):
+        x, bits = end
+        probs = np.clip(np.diag(evolve(profile, basis_density(bits), gamma)).real, 0.0, None)
+        np.testing.assert_array_equal(play(profile, x, gamma), probs / probs.sum())
 
-    def test_non_normalized_input_rejected(self):
-        with pytest.raises(ValueError, match="trace"):
-            play(parse_profile("III"), np.eye(8))
+    @pytest.mark.parametrize("x", [-0.1, 1.5, float("nan")])
+    def test_corruption_out_of_range_rejected(self, x):
+        with pytest.raises(ValueError, match="corruption"):
+            play(parse_profile("III"), x)
 
-    def test_linear_in_the_input_state(self, rng):
-        rho0 = basis_density("000")
-        rho1 = basis_density("111")
-        for _ in range(5):
-            letters = "".join(rng.choice(list("IHX"), size=3))
-            profile = parse_profile(letters)
-            x = rng.uniform()
-            mixed = (1 - x) * rho0 + x * rho1
-            np.testing.assert_allclose(
-                play(profile, mixed),
-                (1 - x) * play(profile, rho0) + x * play(profile, rho1),
-                atol=1e-12,
-            )
+    @settings(deadline=None)
+    @given(profile=st.sampled_from(list(product("IHX", repeat=3))),
+           gamma=st.floats(0.0, np.pi / 2))
+    def test_outcome_rows_are_the_two_pure_inputs(self, profile, gamma):
+        rows = outcomes(profile, gamma)
+        assert rows.shape == (2, 8)
+        for row, bits in zip(rows, ("000", "111")):
+            expected = oracle_game_probs("".join(profile), basis_density(bits), gamma)
+            assert max_abs(row - expected) <= 1e-15
 
     def test_classical_limit_at_zero_strength(self):
         # with no entanglement, each flip deterministically sets its own bit
@@ -156,14 +155,15 @@ class TestPlay:
     @given(profile=st.sampled_from(list(product("IHX", repeat=3))),
            gamma=st.floats(0.0, np.pi / 2), x=st.floats(0.0, 1.0))
     def test_outcomes_form_a_distribution(self, profile, gamma, x):
-        probs = play(profile, corrupted_input(x), gamma)
+        probs = play(profile, x, gamma)
         assert probs.shape == (8,)
         assert (probs >= 0.0).all()
         assert abs(probs.sum() - 1.0) <= 1e-12
 
     def test_mixed_class_orderings_share_the_mean(self):
         means = [
-            mean_payoff(ordering, TABLE) for ordering in set(permutations(("H", "X", "I")))
+            payoff(play(ordering), TABLE).mean
+            for ordering in set(permutations(("H", "X", "I")))
         ]
         assert len(means) == 6
         np.testing.assert_allclose(means, means[0], atol=1e-12)
@@ -287,6 +287,14 @@ class TestParseProfile:
 
 
 class TestEvolve:
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="3-qubit"):
+            evolve(parse_profile("III"), np.eye(4) / 4)
+
+    def test_non_normalized_input_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            evolve(parse_profile("III"), np.eye(8))
+
     def test_final_state_of_biased_best_response(self):
         np.testing.assert_allclose(
             evolve(parse_profile("XIX")), basis_density("101"), atol=1e-12

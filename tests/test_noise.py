@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qdilemma.game import PayoffTable, mean_payoff, parse_profile
+from qdilemma import game, noise
+from qdilemma.game import PayoffTable, parse_profile, payoff, play
 from qdilemma.linalg import basis_density, max_abs, validate_density_matrix
 from qdilemma.noise import ancilla_prepare, corrupted_input, theta_for_x
 
@@ -76,6 +77,10 @@ def test_all_flip_payoff_is_classical_equilibrium_line(rng):
     table = PayoffTable()
     profile = parse_profile("XXX")
     for x in rng.uniform(0, 1, size=25):
-        assert mean_payoff(profile, table, corrupted_input(x)) == pytest.approx(
+        assert payoff(play(profile, x), table).mean == pytest.approx(
             table.q * (1 - x), abs=1e-12
         )
+
+
+def test_check_corruption_lives_in_game_and_is_importable_from_noise():
+    assert noise.check_corruption is game.check_corruption

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qdilemma import analysis, cli, tomography
+from qdilemma import analysis, cli, game, linalg, tomography
 from qdilemma.game import PayoffTable, evolve, parse_profile
 
 from helpers import subprocess_env
@@ -97,3 +97,23 @@ def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens):
 
 def test_one_parser_per_process():
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("argv, circuits", [
+    (["classes", "--x", "0.3"], 10),
+    (["sweep", "x", "--grid", "2001", "--gamma", "0.7"], 2),
+    (["play", "HIX", "--x", "0.3"], 1),
+])
+def test_one_circuit_per_profile_and_no_density_matrix(monkeypatch, tmp_path, argv, circuits):
+    counts = {"circuit_unitary": 0, "validate_density_matrix": 0}
+    for module, name in ((game, "circuit_unitary"), (linalg, "validate_density_matrix")):
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    # both outcome rows of a profile come from one circuit, and no 8x8 input is checked
+    assert counts == {"circuit_unitary": circuits, "validate_density_matrix": 0}
