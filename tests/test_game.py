@@ -144,6 +144,25 @@ class TestPlay:
             expected = oracle_game_probs("".join(profile), basis_density(bits), gamma)
             assert max_abs(row - expected) <= 1e-15
 
+    def test_linear_in_the_input_state(self, rng):
+        rho0 = basis_density("000")
+        rho1 = basis_density("111")
+        for _ in range(5):
+            letters = "".join(rng.choice(list("IHX"), size=3))
+            profile = parse_profile(letters)
+            x = rng.uniform()
+            mixed = (1 - x) * rho0 + x * rho1
+            np.testing.assert_allclose(
+                np.diag(evolve(profile, mixed)).real,
+                (1 - x) * play(profile, 0.0) + x * play(profile, 1.0),
+                atol=1e-12,
+            )
+            np.testing.assert_allclose(
+                play(profile, x),
+                (1 - x) * play(profile, 0.0) + x * play(profile, 1.0),
+                atol=1e-12,
+            )
+
     def test_classical_limit_at_zero_strength(self):
         # with no entanglement, each flip deterministically sets its own bit
         for letters in product("IX", repeat=3):
