@@ -229,7 +229,7 @@ def _resolve_state(token: str, args, role: str = "STATE", raw: bool = True) -> n
             f"cannot resolve state {token!r}: not a profile, bundled reference state, or file"
         )
     try:
-        return linalg.validate_density_matrix(rho, 3, raw)
+        return linalg.validate_density_matrix(rho, raw)
     except ValueError as exc:
         raise ValueError(f"{role} {token}: {exc}") from None
 

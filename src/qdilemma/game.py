@@ -171,7 +171,7 @@ def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA)
     if rho is None:
         rho = linalg.basis_density("000")
     else:
-        rho = linalg.validate_density_matrix(rho, qubits=3)
+        rho = linalg.validate_density_matrix(rho)
     return linalg.conjugate_by(circuit_unitary(profile, gamma), rho)
 
 

@@ -24,9 +24,8 @@ PAULIS = (I2, X, Y, Z)
 #: Largest operator dimension this toolkit handles (four qubits).
 MAX_DIM = 16
 
-HERM_TOL = 1e-12
-TRACE_TOL = 1e-12
-UNITARY_TOL = 1e-12
+#: Max-norm tolerance of the unitarity, Hermiticity, trace and imaginary-residue checks.
+TOL = 1e-12
 #: Eigenvalues in [-PSD_SLACK, 0) are treated as rounding noise.
 PSD_SLACK = 1e-10
 
@@ -68,10 +67,10 @@ def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return kron(kron(a, b), c)
 
 
-def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
-    """True when ``u u†`` is the identity within ``tol`` in max norm."""
+def is_unitary(u: np.ndarray) -> bool:
+    """True when ``u u†`` is the identity within ``TOL`` in max norm."""
     u = np.asarray(u)
-    return max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= tol
+    return max_abs(u @ dagger(u) - np.eye(u.shape[0])) <= TOL
 
 
 def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -101,7 +100,7 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
     :class:`ClampWarning` carrying the clamped magnitude.
     """
     a = np.asarray(a)
-    if max_abs(a - dagger(a)) > HERM_TOL:
+    if max_abs(a - dagger(a)) > TOL:
         raise ValueError("herm_sqrt requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
     if w[0] < -PSD_SLACK:
@@ -114,27 +113,23 @@ def herm_sqrt(a: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ dagger(v)
 
 
-def validate_density_matrix(rho, qubits: int | None = None, raw: bool = False) -> np.ndarray:
-    """Check density-matrix invariants and return the array.
+def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
+    """Check the invariants of a 3-qubit density matrix and return it as a complex array.
 
-    Finite entries, Hermiticity and unit trace are always enforced; positivity
-    (eigenvalues down to ``-PSD_SLACK``) is skipped for ``raw`` states such as
-    linear-inversion tomography output.
+    Finite entries, an 8x8 shape, Hermiticity and unit trace are always
+    enforced; positivity (eigenvalues down to ``-PSD_SLACK``) is skipped for
+    ``raw`` states such as linear-inversion tomography output.
     """
     rho = np.asarray(rho, dtype=complex)
     if not np.all(np.isfinite(rho)):
         raise ValueError("density matrix has non-finite entries")
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    d = rho.shape[0]
-    if d & (d - 1) or not 2 <= d <= MAX_DIM:
-        raise ValueError(f"density matrix dimension {d} is not a supported power of two")
-    if qubits is not None and d != 2**qubits:
-        raise ValueError(f"expected a {qubits}-qubit state, got dimension {d}")
-    if max_abs(rho - dagger(rho)) > HERM_TOL:
+    if rho.shape != (8, 8):
+        raise ValueError(f"expected a 3-qubit (8x8) density matrix, got shape {rho.shape}")
+    if max_abs(rho - dagger(rho)) > TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {np.trace(rho):.15g} is not 1")
+    trace = np.trace(rho)
+    if abs(trace - 1.0) > TOL:
+        raise ValueError(f"density matrix trace {trace.real:.15g} is not 1")
     if not raw:
         lowest = np.linalg.eigvalsh(rho)[0]
         if lowest < -PSD_SLACK:

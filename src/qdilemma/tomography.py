@@ -9,17 +9,13 @@ accepted wherever it is meaningful, in particular by :func:`fidelity`.
 
 from __future__ import annotations
 
-import warnings
 from importlib import resources
 from itertools import product
 
 import numpy as np
 
 from . import linalg
-from .linalg import dagger, herm_sqrt, kron3, validate_density_matrix
-
-IMAG_TOL = 1e-12
-UNIT_TRACE_TOL = 1e-12
+from .linalg import TOL, dagger, herm_sqrt, kron3, validate_density_matrix
 
 #: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k stacked in row-major (i, j, k) order.
 _PAULI_STRINGS = np.stack([
@@ -34,12 +30,16 @@ def expectations(rho: np.ndarray) -> np.ndarray:
     Accepts raw (non-positive) states; Hermiticity keeps every expectation
     real, and any imaginary residue beyond rounding raises.
     """
-    rho = validate_density_matrix(rho, qubits=3, raw=True)
+    return _expectations(validate_density_matrix(rho, raw=True))
+
+
+def _expectations(rho: np.ndarray) -> np.ndarray:
+    """:func:`expectations` of a state that has already been validated."""
     # tr(rho s) = sum_ab rho[a, b] s[b, a]; this summation order matches np.trace(rho @ s)
     # bit for bit, which keeps seeded estimates stable (a flattened matrix product does not)
     values = (rho * _PAULI_STRINGS.transpose(0, 2, 1)).sum(axis=2).sum(axis=1)
     worst = int(np.argmax(np.abs(values.imag)))
-    if abs(values.imag[worst]) > IMAG_TOL:
+    if abs(values.imag[worst]) > TOL:
         idx = tuple(int(i) for i in np.unravel_index(worst, (4, 4, 4)))
         raise ValueError(f"expectation {idx} has imaginary residue {values.imag[worst]:.3e}")
     return values.real.reshape(4, 4, 4)
@@ -56,7 +56,7 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
         raise ValueError(f"expectation tensor must be 4x4x4, got shape {t.shape}")
     if not np.all(np.isfinite(t)):
         raise ValueError("expectation tensor has non-finite entries")
-    if abs(t[0, 0, 0] - 1.0) > UNIT_TRACE_TOL:
+    if abs(t[0, 0, 0] - 1.0) > TOL:
         raise ValueError(f"t[0,0,0] = {t[0, 0, 0]!r} must be 1 (unit trace)")
     return (t.reshape(64, 1, 1) * _PAULI_STRINGS).sum(axis=0) / 8.0
 
@@ -71,12 +71,12 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
     independent of evaluation order.  The seed is reduced mod 2**64 exactly,
     so any integer, negative ones included, is a distinct valid seed.
     """
-    rho = validate_density_matrix(rho, qubits=3)
+    rho = validate_density_matrix(rho)
     shots = int(shots)
     # the binomial draw takes a C long
     if not 1 <= shots < 2**63:
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
-    p_plus = np.clip((1.0 + expectations(rho).ravel()) / 2.0, 0.0, 1.0)
+    p_plus = np.clip((1.0 + _expectations(rho).ravel()) / 2.0, 0.0, 1.0)
     bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
     # Re-keying one bit generator to counter 0 and an empty buffer gives the
@@ -104,8 +104,6 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """
     rho = validate_density_matrix(rho, raw=True)
     sigma = validate_density_matrix(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     root = herm_sqrt(sigma)
     mid = root @ rho @ root
     mid = (mid + dagger(mid)) / 2
@@ -156,36 +154,25 @@ def parse_density_text(text: str) -> np.ndarray:
 
 
 def read_density_matrix(path) -> np.ndarray:
-    """Read a density matrix from a text file, reporting (not repairing) defects."""
+    """Read a density matrix from a text file, returned exactly as written.
+
+    Only the format is checked here; the function that uses the state checks
+    it as a density matrix.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            rho = parse_density_text(fh.read())
+            return parse_density_text(fh.read())
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-    _report_deviations(rho, str(path))
-    return rho
 
 
 def load_reference_state(name: str) -> np.ndarray:
     """A bundled reconstructed density matrix, returned exactly as transcribed.
 
-    The result may be raw (non-positive); Hermiticity and trace deviations
-    are reported via a warning, never silently repaired.
+    The result may be raw (non-positive) and is never repaired; the
+    function that uses the state checks it as a density matrix.
     """
     if name not in REFERENCE_STATES:
         raise KeyError(f"unknown reference state {name!r}; available: {', '.join(REFERENCE_STATES)}")
     text = resources.files("qdilemma").joinpath("data", f"{name}.txt").read_text(encoding="utf-8")
-    rho = parse_density_text(text)
-    _report_deviations(rho, name)
-    return rho
-
-
-def _report_deviations(rho: np.ndarray, name: str):
-    herm_dev = linalg.max_abs(rho - dagger(rho))
-    trace_dev = abs(np.trace(rho) - 1.0)
-    if herm_dev > linalg.HERM_TOL or trace_dev > linalg.TRACE_TOL:
-        warnings.warn(
-            f"{name}: hermiticity deviation {herm_dev:.3e}, trace deviation {trace_dev:.3e}",
-            UserWarning,
-            stacklevel=3,
-        )
+    return parse_density_text(text)

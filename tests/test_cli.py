@@ -21,6 +21,19 @@ from qdilemma.cli import MAX_GRID, emit, main
 from helpers import subprocess_env
 
 
+#: A file that exists and is neither JSON nor a matrix file.
+PLAIN_TEXT = str(Path(__file__).with_name("conftest.py"))
+
+#: JSON files whose ``results.tensor`` is not numeric, or ragged.
+DATA = Path(__file__).with_name("data")
+NOT_NUMERIC_TENSOR = str(DATA / "tensor_not_numeric.json")
+RAGGED_TENSOR = str(DATA / "tensor_ragged.json")
+#: Matrix files that parse but fail the density-matrix check: Hermitian but
+#: for one off-diagonal entry, and the identity over 4 (trace 2).
+NOT_HERMITIAN_MATRIX = str(DATA / "matrix_not_hermitian.txt")
+TRACE_TWO_MATRIX = str(DATA / "matrix_trace_two.txt")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -206,16 +219,15 @@ class TestTomo:
         assert code != 0
         assert "cannot resolve" in err
 
-    def test_state_file_that_fails_its_check_is_named(self, capsys, tmp_path):
-        # Hermitian but for one off-diagonal entry; the reader only warns about it
-        real = np.eye(8) / 8
-        real[0, 1] = 0.5
-        path = tmp_path / "skew.txt"
-        path.write_text("\n".join(" ".join(map(str, row)) for row in real)
-                        + "\n\n" + "\n".join(" ".join(["0"] * 8) for _ in range(8)) + "\n")
-        with pytest.warns(UserWarning, match="hermiticity"):
-            code, out, err = run(capsys, "tomo", "forward", str(path))
-        assert_one_error(code, out, err, f"error: STATE {path}: density matrix is not Hermitian")
+    @pytest.mark.parametrize("path, message", [
+        pytest.param(NOT_HERMITIAN_MATRIX, "density matrix is not Hermitian", id="not-hermitian"),
+        pytest.param(TRACE_TWO_MATRIX, "density matrix trace 2 is not 1", id="trace-two"),
+    ])
+    def test_state_file_that_fails_its_check_is_named(self, path, message):
+        # a subprocess, so that stderr holds whatever a user would see
+        proc = subprocess.run([sys.executable, "-m", "qdilemma.cli", "tomo", "forward", path],
+                              capture_output=True, text=True, env=subprocess_env(), check=False)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: STATE {path}: {message}\n")
 
     def test_fidelity_needs_two_inputs(self, capsys):
         code, _, err = run(capsys, "tomo", "fidelity", "class7_appendix")
@@ -327,15 +339,6 @@ class TestEmitBackstop:
             emit(payload, argparse.Namespace(fmt="json", output=None))
 
 
-#: A file that exists and is neither JSON nor a matrix file.
-PLAIN_TEXT = str(Path(__file__).with_name("conftest.py"))
-
-#: JSON files whose ``results.tensor`` is not numeric, or ragged.
-DATA = Path(__file__).with_name("data")
-NOT_NUMERIC_TENSOR = str(DATA / "tensor_not_numeric.json")
-RAGGED_TENSOR = str(DATA / "tensor_ragged.json")
-
-
 class TestSharedFlags:
     @pytest.mark.parametrize("argv, flag", [
         (["xc", "--gamma", "5"], "--gamma"),
@@ -442,13 +445,15 @@ def argvs(draw, files):
 @pytest.fixture(scope="module")
 def argv_files(tmp_path_factory):
     """The output file, a path under a missing directory, and inputs: a tensor
-    file, a bad tensor file, a plain text file, a directory and a missing file."""
+    file, a bad tensor file, a plain text file, a directory, a missing file and
+    two matrix files that fail the density-matrix check."""
     root = tmp_path_factory.mktemp("argv")
     tensor = str(root / "tensor.json")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["tomo", "forward", "HIX", "--output", tensor]) == 0
     return (str(root / "out"), str(root / "missing" / "out"), tensor, RAGGED_TENSOR,
-            PLAIN_TEXT, str(root), str(root / "missing.json"))
+            PLAIN_TEXT, str(root), str(root / "missing.json"), NOT_HERMITIAN_MATRIX,
+            TRACE_TWO_MATRIX)
 
 
 def refuse(constant):

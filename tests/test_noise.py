@@ -30,7 +30,7 @@ class TestCorruptedInput:
 
     def test_always_a_valid_state(self, rng):
         for x in rng.uniform(0, 1, size=25):
-            validate_density_matrix(corrupted_input(x), qubits=3)
+            validate_density_matrix(corrupted_input(x))
 
 
 class TestThetaForX:

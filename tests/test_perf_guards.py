@@ -28,6 +28,25 @@ def test_one_bit_generator_per_estimate(monkeypatch):
     assert len(built) == 1
 
 
+@pytest.mark.parametrize("call, checks", [
+    (lambda rho: tomography.estimate_expectations(rho, 8192, 7), 1),
+    (tomography.expectations, 1),
+    (lambda rho: tomography.fidelity(rho, rho), 2),
+    (tomography.project_to_physical, 1),
+], ids=["estimate_expectations", "expectations", "fidelity", "project_to_physical"])
+def test_each_state_checked_once_per_public_call(monkeypatch, call, checks):
+    calls = []
+    validate = tomography.validate_density_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(tomography, "validate_density_matrix", counting)
+    call(evolve(parse_profile("HIX")))
+    assert len(calls) == checks
+
+
 def test_no_np_kron_on_import_or_evolve():
     # a fresh interpreter, so that the module-level tables are built under the count
     script = (

@@ -227,14 +227,14 @@ class TestFidelity:
         assert fidelity(rho, sigma) < 1.0 - 1e-8
 
     def test_dimension_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError, match="mismatch"):
-            fidelity(random_mixed_density(rng, qubits=3), np.eye(4) / 4)
+        with pytest.raises(ValueError, match="3-qubit"):
+            fidelity(random_mixed_density(rng), np.eye(4) / 4)
 
 
 class TestProjectToPhysical:
     def test_repairs_the_reference_state(self):
         repaired = project_to_physical(load_reference_state("class7_appendix"))
-        validate_density_matrix(repaired, qubits=3)
+        validate_density_matrix(repaired)
 
     def test_fixes_nothing_on_physical_states(self, rng):
         rho = random_mixed_density(rng)
