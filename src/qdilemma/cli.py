@@ -38,6 +38,11 @@ class _Parser(argparse.ArgumentParser):
     """A parser whose errors leave through ``main``'s one ``error:`` line
     instead of a usage block; its subparsers are of this class too."""
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read "-1e-3" and "-.5", like "-1", as a number rather than a flag
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise ValueError(message.removeprefix("argument "))
 
@@ -109,16 +114,18 @@ def _check_shared(args):
     """Reject an out-of-range shared flag whatever the command."""
     for flag, check, value in (("--gamma", game._check_gamma, args.gamma),
                                ("--x", game.check_corruption, args.x),
-                               ("--p/--q/--n", _table, args)):
+                               ("--p/--q/--n", _table, args),
+                               ("--grid", _check_grid, args.grid),
+                               ("--shots", tomography.check_shots, args.shots)):
         try:
             check(value)
         except ValueError as exc:
             raise ValueError(f"{flag}: {exc}") from None
-    # the binomial draw of ``tomo estimate`` takes the shot count as a C long
-    for flag, value, high, shown in (("--grid", args.grid, MAX_GRID, MAX_GRID),
-                                     ("--shots", args.shots, 2**63 - 1, "2**63 - 1")):
-        if not 1 <= value <= high:
-            raise ValueError(f"{flag}: must be an integer in [1, {shown}], got {value}")
+
+
+def _check_grid(grid: int):
+    if not 1 <= grid <= MAX_GRID:
+        raise ValueError(f"must be an integer in [1, {MAX_GRID}], got {grid}")
 
 
 #: The parameter echo that leads every JSON document, in order.
@@ -196,6 +203,8 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"sweep range [{start}, {stop}] must be finite")
     if stop < start:
         raise ValueError(f"inverted sweep range [{start}, {stop}]")
+    if not math.isfinite(stop - start):
+        raise ValueError(f"sweep range [{start}, {stop}] is wider than the largest float")
     grid = np.linspace(start, stop, args.grid)
     columns = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
     return _payload(args, columns, swept=args.swept, start=start, stop=stop)

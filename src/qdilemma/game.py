@@ -197,7 +197,8 @@ def payoff(probs: np.ndarray, table: PayoffTable) -> PayoffVector:
     probs = np.asarray(probs, dtype=float)
     if probs.shape != (8,):
         raise ValueError(f"expected 8 outcome probabilities, got shape {probs.shape}")
-    if probs.min() < -NEG_PROB_TOL or abs(probs.sum() - 1.0) > PROB_SUM_TOL:
+    # written so that a NaN, for which every comparison is false, is refused too
+    if not (probs.min() >= -NEG_PROB_TOL and abs(probs.sum() - 1.0) <= PROB_SUM_TOL):
         raise ValueError("not a probability distribution")
     p1, p2, p3 = probs @ table.outcome_payoffs()
     return PayoffVector(float(p1), float(p2), float(p3))

@@ -9,6 +9,7 @@ accepted wherever it is meaningful, in particular by :func:`fidelity`.
 
 from __future__ import annotations
 
+import operator
 from importlib import resources
 from itertools import product
 
@@ -27,8 +28,9 @@ _PAULI_STRINGS = np.stack([
 def expectations(rho: np.ndarray) -> np.ndarray:
     """4x4x4 tensor of Pauli-string expectation values tr(rho · s_i ⊗ s_j ⊗ s_k).
 
-    Accepts raw (non-positive) states; Hermiticity keeps every expectation
-    real, and any imaginary residue beyond rounding raises.
+    Accepts raw (non-positive) states.  The tensor is that of the state's
+    Hermitian part, which the density-matrix check puts within ``TOL`` of the
+    state, so every entry is real.
     """
     return _expectations(validate_density_matrix(rho, raw=True))
 
@@ -38,10 +40,6 @@ def _expectations(rho: np.ndarray) -> np.ndarray:
     # tr(rho s) = sum_ab rho[a, b] s[b, a]; this summation order matches np.trace(rho @ s)
     # bit for bit, which keeps seeded estimates stable (a flattened matrix product does not)
     values = (rho * _PAULI_STRINGS.transpose(0, 2, 1)).sum(axis=2).sum(axis=1)
-    worst = int(np.argmax(np.abs(values.imag)))
-    if abs(values.imag[worst]) > TOL:
-        idx = tuple(int(i) for i in np.unravel_index(worst, (4, 4, 4)))
-        raise ValueError(f"expectation {idx} has imaginary residue {values.imag[worst]:.3e}")
     return values.real.reshape(4, 4, 4)
 
 
@@ -61,6 +59,14 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
     return (t.reshape(64, 1, 1) * _PAULI_STRINGS).sum(axis=0) / 8.0
 
 
+def check_shots(shots: int) -> int:
+    """Validate a shot count and return it as an int; the binomial draw takes a C long."""
+    shots = operator.index(shots)
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
+    return shots
+
+
 def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
     """Finite-shot estimate of the expectation tensor.
 
@@ -72,12 +78,9 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
     so any integer, negative ones included, is a distinct valid seed.
     """
     rho = validate_density_matrix(rho)
-    shots = int(shots)
-    # the binomial draw takes a C long
-    if not 1 <= shots < 2**63:
-        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
+    shots = check_shots(shots)
     p_plus = np.clip((1.0 + _expectations(rho).ravel()) / 2.0, 0.0, 1.0)
-    bits = np.random.Philox(key=np.array([int(seed) % 2**64, 0], dtype=np.uint64))
+    bits = np.random.Philox(key=np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64))
     rng = np.random.Generator(bits)
     # Re-keying one bit generator to counter 0 and an empty buffer gives the
     # stream a fresh Philox(key=[seed, flat]) would; the Generator's binomial
@@ -123,10 +126,7 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(rho)
     w = np.clip(w, 0.0, None)
     out = (v * w) @ dagger(v)
-    total = float(np.trace(out).real)
-    if total <= 0.0:
-        raise ValueError("state has no positive part to keep")
-    return out / total
+    return out / np.trace(out).real
 
 
 #: Names of the bundled reconstructed states.

@@ -140,6 +140,11 @@ class TestSweep:
         assert code != 0
         assert "inverted" in err
 
+    def test_negative_exponent_value_is_read_after_a_space(self, capsys):
+        spaced = run(capsys, "sweep", "x", "--from", "-1e-3", "--to", "1", "--grid", "3")
+        assert spaced == run(capsys, "sweep", "x", "--from=-1e-3", "--to=1", "--grid=3")
+        assert spaced[0] == 0 and json.loads(spaced[1])["params"]["start"] == -0.001
+
     @pytest.mark.parametrize("argv", [("n", "--from", "3", "--to", "4"),
                                       ("x", "--from", "2", "--to", "3"),
                                       ("x",)])
@@ -378,6 +383,23 @@ class TestSharedFlags:
         assert code == 2
         assert_one_error(code, out, err, f"error: {flag}: ")
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["sweep", "n", "--from=-1e308", "--to=1e308"],
+                     "sweep range [-1e+308, 1e+308] is wider than the largest float",
+                     id="sweep-n-wider-than-a-float"),
+        pytest.param(["sweep", "q", "--from=-1e308", "--to=1e308"],
+                     "sweep range [-1e+308, 1e+308] is wider than the largest float",
+                     id="sweep-q-wider-than-a-float"),
+        # argparse's default pattern reads "-1e-3" as a flag, not as a value
+        pytest.param(["xc", "--x", "-1e-3"], "--x: corruption must lie in [0, 1], got -0.001",
+                     id="negative-exponent-value"),
+        pytest.param(["xc", "--shots", "0"],
+                     "--shots: shots must be an integer in [1, 2**63 - 1], got 0", id="zero-shots"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_refusal_text(self, capsys, argv, message, fmt):
+        assert run(capsys, *argv, "--format", fmt) == (2, "", f"error: {message}\n")
+
     def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
@@ -386,8 +408,8 @@ class TestSharedFlags:
 
 
 #: Huge, negative, non-finite and non-numeric values, which most flags refuse.
-BAD_NUMBERS = ("-1", "1e308", "-1e308", "1e400", "nan", "inf", "-inf", "abc", "", "1.5",
-               str(2**63), str(-2**63), "1" + "0" * 5000)
+BAD_NUMBERS = ("-1", "1e308", "-1e308", "-1e-3", "1e400", "nan", "inf", "-inf", "-nan", "abc",
+               "", "1.5", str(2**63), str(-2**63), "1" + "0" * 5000)
 #: Per flag: values that fit it alone (small, so that sweeps and estimates stay
 #: quick), and values that mostly do not.
 FLAG_VALUES = {
@@ -434,7 +456,9 @@ def argvs(draw, files):
     for flag in draw(st.lists(st.sampled_from(names), unique=True, max_size=4)):
         good, bad = FLAG_VALUES[flag]
         fits = draw(st.sampled_from((True, True, True, False)))
-        flags += [flag, draw(st.sampled_from(good if fits else bad))]
+        value = draw(st.sampled_from(good if fits else bad))
+        # "--flag=value" also carries values that argparse would take for a flag
+        flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
         flags += ["--output", draw(st.sampled_from(files[:2]))]
     # unknown to every parser, ambiguous between --shots and --seed, unknown but to sweep
@@ -484,7 +508,7 @@ class TestAnyArgv:
             os.unlink(output)
         else:
             text = out.getvalue()
-        if "csv" in argv:
+        if "csv" in argv or "--format=csv" in argv:
             header, *rows = csv.reader(io.StringIO(text))
             assert rows and {len(row) for row in rows} == {len(header)}
             # the echo columns a row does not carry, then the row's own fields

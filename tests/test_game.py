@@ -23,7 +23,7 @@ from qdilemma.game import (
     rx,
     strategy_unitary,
 )
-from qdilemma.linalg import basis_density, basis_state, dagger, is_unitary, kron3, max_abs
+from qdilemma.linalg import basis_density, basis_state, dagger, kron3, max_abs
 from qdilemma.noise import corrupted_input
 
 from helpers import oracle_game_probs, ordered_product
@@ -85,11 +85,13 @@ class TestStrategyUnitary:
     def test_all_strategies_unitary(self, rng):
         assert list(GATES) == ["I", "H", "X"]
         for letter in GATES:
-            assert is_unitary(strategy_unitary(letter))
+            u = strategy_unitary(letter)
+            np.testing.assert_allclose(u @ dagger(u), np.eye(2), atol=1e-12)
         # the ancilla rotation of the noise circuit
         for _ in range(25):
             theta, phi, lam = rng.uniform(0, 2 * np.pi, size=3)
-            assert is_unitary(general_unitary(theta, phi, lam))
+            u = general_unitary(theta, phi, lam)
+            np.testing.assert_allclose(u @ dagger(u), np.eye(2), atol=1e-12)
 
     def test_unknown_kind_rejected(self):
         for bad in ("Q", "Z", "U", "x", "XX", "", None, ["X"]):
@@ -213,6 +215,14 @@ class TestPayoff:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError, match="probability"):
             payoff(np.full(8, 0.25), TABLE)
+
+    @pytest.mark.parametrize("probs", [
+        pytest.param(np.r_[np.nan, np.full(7, 1 / 7)], id="nan-in-one-slot"),
+        pytest.param(np.full(8, np.nan), id="nan-in-every-slot"),
+    ])
+    def test_rejects_nan(self, probs):
+        with pytest.raises(ValueError, match="not a probability distribution"):
+            payoff(probs, TABLE)
 
     @pytest.mark.parametrize("profile, mean", [("HIX", 1e308 / 3 * 2), ("IIX", -1e308 / 3 * 2),
                                                ("XXX", 3.0)])

@@ -35,9 +35,11 @@ class TestKron:
         x3 = kron3(linalg.X, linalg.X, linalg.X)
         np.testing.assert_array_equal(x3 @ basis_state("000"), basis_state("111"))
 
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError, match="cap"):
-            kron(np.eye(16), linalg.I2)
+    def test_sixteen_dimensional_factor_matches_np_kron(self, rng):
+        a = self.factors(16, rng)["complex"]
+        for b in self.factors(2, rng).values():
+            assert kron(a, b).tobytes() == np.kron(a, b).tobytes()
+            assert kron(b, a).tobytes() == np.kron(b, a).tobytes()
 
     @staticmethod
     def factors(size, rng):
@@ -65,12 +67,10 @@ class TestKron:
                     expected = np.kron(np.kron(a, b), c)
                     assert kron3(a, b, c).tobytes() == expected.tobytes()
 
-    def test_sixteen_dimension_cap(self):
-        assert kron(np.eye(4), np.eye(4)).shape == (16, 16)
-        with pytest.raises(ValueError, match="16-dimensional cap"):
-            kron(np.eye(4), np.eye(8))
-        with pytest.raises(ValueError, match="16-dimensional cap"):
-            kron3(np.eye(4), np.eye(4), linalg.I2)
+    def test_products_past_sixteen_dimensions_match_np_kron(self):
+        assert kron(np.eye(4), np.eye(8)).tobytes() == np.kron(np.eye(4), np.eye(8)).tobytes()
+        expected = np.kron(np.kron(np.eye(4), np.eye(4)), linalg.I2)
+        assert kron3(np.eye(4), np.eye(4), linalg.I2).tobytes() == expected.tobytes()
 
 
 class TestDagger:

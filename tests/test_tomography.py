@@ -1,6 +1,7 @@
 import hashlib
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from qdilemma import linalg
 from qdilemma.game import evolve, parse_profile
 from qdilemma.linalg import basis_density, dagger, max_abs, validate_density_matrix
+from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
+    check_shots,
     estimate_expectations,
     expectations,
     fidelity,
@@ -22,6 +25,9 @@ from qdilemma.tomography import (
 )
 
 from helpers import crandn, random_mixed_density, random_pure_density
+
+#: The maximally mixed state plus 0.45e-12j · I⊗I⊗X, within the Hermiticity tolerance.
+NEAR_HERMITIAN_MATRIX = Path(__file__).with_name("data") / "matrix_near_hermitian.txt"
 
 
 class TestExpectations:
@@ -50,14 +56,15 @@ class TestExpectations:
         with pytest.raises(ValueError, match="3-qubit"):
             expectations(np.eye(4) / 4)
 
-    def test_imaginary_residue_rejected(self):
-        # anti-Hermitian part 0.9e-12 passes the Hermiticity check, but
-        # tr(rho · I⊗I⊗X) picks up 8 * 0.45e-12 = 3.6e-12 of imaginary part
+    def test_near_hermitian_state_reads_its_hermitian_part(self):
+        # anti-Hermitian part 0.9e-12 passes the Hermiticity check;
+        # tr(rho · I⊗I⊗X) picks up 8 * 0.45e-12 = 3.6e-12 of imaginary part,
+        # which the tensor of the Hermitian part, eye(8)/8, does not carry
         iix = np.kron(np.eye(4), linalg.X)
         rho = np.eye(8) / 8 + 0.45e-12j * iix
+        assert np.array_equal(read_density_matrix(NEAR_HERMITIAN_MATRIX), rho)
         validate_density_matrix(rho, raw=True)
-        with pytest.raises(ValueError, match=r"expectation \(0, 0, 1\) has imaginary residue 3\.6"):
-            expectations(rho)
+        assert expectations(rho).tobytes() == expectations(np.eye(8) / 8).tobytes()
 
 
 class TestReconstruct:
@@ -144,6 +151,19 @@ class TestEstimateExpectations:
         np.testing.assert_allclose(estimate_expectations(rho, shots=2**63 - 1),
                                    expectations(rho), rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("shots, seed", [(1.5, 2), (1, 2.7), (np.float64(8), 0)])
+    def test_rejects_a_non_integer_shot_count_or_seed(self, shots, seed):
+        with pytest.raises(TypeError):
+            estimate_expectations(basis_density("101"), shots, seed)
+
+    def test_check_shots_returns_an_int(self):
+        shots = check_shots(np.int64(7))
+        assert shots == 7 and type(shots) is int
+        for bad in (0, -3, 2**63):
+            message = rf"^shots must be an integer in \[1, 2\*\*63 - 1\], got {bad}$"
+            with pytest.raises(ValueError, match=message):
+                check_shots(bad)
+
 
 def fresh_stream_estimate(rho, shots, seed):
     """Reference estimator: a new Philox keyed [seed mod 2**64, string index] per string."""
@@ -192,11 +212,20 @@ class TestSeededStream:
 
 class TestFidelity:
     def test_self_fidelity_is_one(self, rng):
-        # rank-deficient (pure) inputs carry sqrt-amplified eigenvalue dust,
-        # hence the 1e-6 output bound rather than 1e-8
         for make in (random_pure_density, random_mixed_density):
             rho = make(rng)
-            assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-6)
+            assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-11)
+        for letters in product("IHX", repeat=3):
+            for x, gamma in product((0.0, 0.3, 0.5, 1.0), (0.0, 0.7, np.pi / 2)):
+                rho = evolve(letters, corrupted_input(x), gamma)
+                assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
+
+    def test_rank_deficient_pair_carries_no_rounding_dust(self):
+        # both states have rank 2; the reference is mpmath at 40 digits on these
+        # two float matrices
+        state = evolve(parse_profile("XIX"), corrupted_input(0.3))
+        target = evolve(parse_profile("HIX"), corrupted_input(0.3))
+        assert fidelity(state, target) == pytest.approx(0.70710678118654742627, abs=1e-15)
 
     def test_orthogonal_states(self):
         assert fidelity(basis_density("000"), basis_density("111")) == pytest.approx(
