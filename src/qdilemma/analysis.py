@@ -46,7 +46,7 @@ REFERENCE_CLASS_MEANS = {
     "X": -1.833,
 }
 
-#: Absolute tolerance separating "tie" from a strict payoff advantage.
+#: Tolerance, relative to the larger payoff, separating "tie" from a strict advantage.
 TIE_TOL = 1e-12
 
 
@@ -129,12 +129,10 @@ def dominance(table: PayoffTable, x: float) -> dict:
     """
     qu = quantum_ne_payoff(table, x)
     cl = classical_ne_payoff(table, x)
-    if qu > cl + TIE_TOL:
-        verdict = "quantum"
-    elif cl > qu + TIE_TOL:
-        verdict = "classical"
-    else:
+    if abs(qu - cl) <= TIE_TOL * max(abs(qu), abs(cl)):
         verdict = "tie"
+    else:
+        verdict = "quantum" if qu > cl else "classical"
     return {"x": x, "quantum_ne_mean": qu, "classical_ne_mean": cl, "dominant": verdict}
 
 

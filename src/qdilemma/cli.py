@@ -19,6 +19,7 @@ import re
 import stat
 import sys
 import tempfile
+import warnings
 from itertools import repeat
 from operator import is_
 
@@ -93,19 +94,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        _check_shared(args)
-        # looked up per call, so that a wrapped ``cmd_*`` is the one that runs
-        payload = globals()[f"cmd_{args.command}"](args)
-        emit(payload, args)
-    except OSError as exc:
-        # args[0] of an OSError is its errno; the path and the OS message say what failed
-        message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
-    except (ValueError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
-    else:
-        return 0
+    # a warning is recorded, whatever the filters say for a clamp, and is
+    # reported as one line once the command has succeeded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", linalg.ClampWarning)
+        try:
+            args = build_parser().parse_args(argv)
+            _check_shared(args)
+            # looked up per call, so that a wrapped ``cmd_*`` is the one that runs
+            payload = globals()[f"cmd_{args.command}"](args)
+            emit(payload, args)
+        except OSError as exc:
+            # args[0] of an OSError is its errno; the path and the OS message say what failed
+            message = f"{exc.filename}: {exc.strerror}" if exc.filename else exc
+        except (ValueError, KeyError) as exc:
+            message = exc.args[0] if exc.args else exc
+        else:
+            for warning in caught:
+                print(f"warning: {warning.message}", file=sys.stderr)
+            return 0
     print(f"error: {message}", file=sys.stderr)
     return 2
 

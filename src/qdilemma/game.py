@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import I2, H, X, dagger, kron, kron3, max_abs
+from .linalg import I2, H, X, dagger, kron3, max_abs
 
 #: Entanglement strength giving maximal correlation.
 DEFAULT_GAMMA = np.pi / 2
@@ -204,16 +204,6 @@ def payoff(probs: np.ndarray, table: PayoffTable) -> PayoffVector:
     return PayoffVector(float(p1), float(p2), float(p3))
 
 
-# Two-qubit CNOTs in the |ab> basis (a the more significant bit):
-# _CNOT_CTRL_FIRST flips b when a=1; _CNOT_CTRL_SECOND flips a when b=1.
-_CNOT_CTRL_FIRST = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-_CNOT_CTRL_SECOND = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex
-)
-
-
 def decompose_entangler():
     """Five-gate hardware realization of the maximal entangler, in application order.
 
@@ -221,8 +211,8 @@ def decompose_entangler():
     with the full 8x8 matrix it applies; their ordered product equals
     ``entangler(pi/2)`` up to a global phase.
     """
-    cnot_1_0 = kron(_CNOT_CTRL_SECOND, I2)  # control qubit 1, target qubit 0
-    cnot_1_2 = kron(I2, _CNOT_CTRL_FIRST)  # control qubit 1, target qubit 2
+    cnot_1_0 = linalg.cnot(1, 0, 3)
+    cnot_1_2 = linalg.cnot(1, 2, 3)
     rot = kron3(I2, rx(-np.pi / 2), I2)
     return [
         ("cnot q1->q0", cnot_1_0),

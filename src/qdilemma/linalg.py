@@ -59,6 +59,20 @@ def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return kron(kron(a, b), c)
 
 
+def cnot(control: int, target: int, qubits: int) -> np.ndarray:
+    """CNOT of a ``qubits``-qubit register: flips ``target`` where ``control`` is 1.
+
+    In the basis convention above, qubit ``k`` is index bit ``qubits-1-k``.
+    The gate permutes the basis states and is its own inverse.
+    """
+    if control == target or not (0 <= control < qubits and 0 <= target < qubits):
+        raise ValueError(f"cnot needs two distinct qubits of a {qubits}-qubit register, "
+                         f"got control {control} and target {target}")
+    idx = np.arange(2**qubits)
+    flip = (idx >> (qubits - 1 - control)) & 1
+    return np.eye(2**qubits, dtype=complex)[idx ^ (flip << (qubits - 1 - target))]
+
+
 def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Evolve a state under a unitary: ``rho -> u rho u†``."""
     u = np.asarray(u)

@@ -29,26 +29,15 @@ def theta_for_x(x: float) -> float:
     return 2.0 * np.arcsin(np.sqrt(x))
 
 
-# Index weights of the three game qubits in the 4-qubit register; the ancilla
-# is the last qubit (weight 1).
-_GAME_QUBIT_WEIGHTS = (8, 4, 2)
-
-
 def ancilla_prepare(x: float) -> np.ndarray:
     """Corrupted input built the hardware way, equal to ``corrupted_input(x)``.
 
-    The 4-qubit register is kept as a pure statevector (ancilla last) until
-    the final partial trace, so the equivalence is exact to rounding.
+    The 4-qubit register (ancilla last) starts as ``|000>`` times the rotated
+    ancilla, and a CNOT from the ancilla onto each game qubit copies it; the
+    register stays a pure statevector until the final partial trace, so the
+    equivalence is exact to rounding.
     """
-    x = check_corruption(x)
-    psi = np.zeros(16, dtype=complex)
-    psi[0] = 1.0
-    # Rotate the ancilla (least-significant index bit).
-    u = general_unitary(theta_for_x(x))
-    psi = (psi.reshape(8, 2) @ u.T).reshape(16)
-    # CNOT from the ancilla onto each game qubit: a pure index permutation.
-    idx = np.arange(16)
-    for weight in _GAME_QUBIT_WEIGHTS:
-        perm = np.where(idx & 1 == 1, idx ^ weight, idx)
-        psi = psi[perm]
+    psi = np.kron(linalg.basis_state("000"), general_unitary(theta_for_x(x))[:, 0])
+    for qubit in range(3):
+        psi = linalg.cnot(3, qubit, 4) @ psi
     return linalg.partial_trace_last(np.outer(psi, psi.conj()))

@@ -215,7 +215,24 @@ class TestDominance:
     def test_never_quantum_past_half_at_any_scale(self, log_n, q_frac, p_frac, x):
         n = 10.0 ** log_n
         table = PayoffTable(n * q_frac * p_frac, n * q_frac, n)
-        assert dominance(table, x)["dominant"] != "quantum"
+        assert dominance(table, x)["dominant"] == "classical"
+
+    @settings(deadline=None)
+    @given(n=st.floats(1e-3, 1e3), q_frac=st.floats(1e-3, 1.0, exclude_max=True),
+           p_frac=st.floats(1e-3, 1.0, exclude_max=True), x=st.floats(0.0, 1.0),
+           k=st.integers(-60, 60))
+    def test_verdict_does_not_depend_on_the_units_of_the_stakes(self, n, q_frac, p_frac, x, k):
+        q = n * q_frac
+        p = q * p_frac
+        assume(0.0 < p < q < n)
+        scale = 2.0**k
+        scaled = PayoffTable(p * scale, q * scale, n * scale)
+        assert dominance(scaled, x)["dominant"] == dominance(PayoffTable(p, q, n), x)["dominant"]
+
+    @pytest.mark.parametrize("scale", [2.0**-40, 2.0**-7, 2.0**7, 2.0**40])
+    def test_crossing_is_a_tie_at_any_scale(self, scale):
+        table = PayoffTable(TABLE.p * scale, TABLE.q * scale, TABLE.n * scale)
+        assert dominance(table, 13 / 30)["dominant"] == "tie"
 
     def test_report_echoes_both_payoffs(self):
         report = dominance(TABLE, 0.25)

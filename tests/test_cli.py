@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import stat
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdilemma import cli
 from qdilemma.cli import MAX_GRID, emit, main
 
 from helpers import subprocess_env
@@ -32,6 +35,13 @@ RAGGED_TENSOR = str(DATA / "tensor_ragged.json")
 #: for one off-diagonal entry, and the identity over 4 (trace 2).
 NOT_HERMITIAN_MATRIX = str(DATA / "matrix_not_hermitian.txt")
 TRACE_TWO_MATRIX = str(DATA / "matrix_trace_two.txt")
+
+
+#: A fidelity whose raw STATE has a negative eigenvalue, which ``herm_sqrt`` clamps.
+CLAMPING_FIDELITY = ("tomo", "fidelity", "class7_appendix", "HHH", "--x", "0.3")
+CLAMP_LINE = "warning: clamped negative eigenvalue of magnitude 5.983e-02 to zero\n"
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -174,6 +184,12 @@ class TestXc:
         assert doc["results"]["x_c"] is None
         assert doc["results"]["no_advantage"] is True
 
+    @pytest.mark.parametrize("x, verdict", [("0", "quantum"), ("0.9", "classical")])
+    def test_verdict_at_small_stakes(self, capsys, x, verdict):
+        # the means differ threefold at x = 0, by far more than 1e-12 of the larger
+        doc = run_json(capsys, "xc", "--p", "1e-13", "--q", "2e-13", "--n", "9e-13", "--x", x)
+        assert doc["results"]["report"]["dominant"] == verdict
+
     def test_no_advantage_csv_cell_is_empty(self, capsys):
         code, out, _ = run(capsys, "xc", "--q", "7", "--format", "csv")
         assert code == 0
@@ -234,10 +250,65 @@ class TestTomo:
                               capture_output=True, text=True, env=subprocess_env(), check=False)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: STATE {path}: {message}\n")
 
+    def test_clamp_is_reported_on_one_line(self, capsys):
+        # in process, where the suite's filters turn a UserWarning into an error
+        code, out, err = run(capsys, *CLAMPING_FIDELITY)
+        assert (code, err) == (0, CLAMP_LINE)
+        assert json.loads(out)["results"]["fidelity"] == pytest.approx(0.394, abs=1e-3)
+
+    def test_clamp_is_reported_on_one_line_in_a_subprocess(self):
+        # a subprocess, so that stderr holds whatever a user would see
+        proc = subprocess.run([sys.executable, "-m", "qdilemma.cli", *CLAMPING_FIDELITY],
+                              capture_output=True, text=True, env=subprocess_env(), check=False)
+        assert (proc.returncode, proc.stderr) == (0, CLAMP_LINE)
+        assert json.loads(proc.stdout)["results"]["fidelity"] == pytest.approx(0.394, abs=1e-3)
+
+    def test_failing_command_prints_only_its_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "f"
+        code, out, err = run(capsys, *CLAMPING_FIDELITY, "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: {target}: No such file or directory\n")
+
+    def test_other_warnings_keep_their_filters(self, monkeypatch):
+        def cmd_xc(args):
+            warnings.warn("overflow encountered", RuntimeWarning)
+
+        monkeypatch.setattr(cli, "cmd_xc", cmd_xc)
+        with pytest.raises(RuntimeWarning, match="overflow encountered"):
+            main(["xc"])
+
     def test_fidelity_needs_two_inputs(self, capsys):
         code, _, err = run(capsys, "tomo", "fidelity", "class7_appendix")
         assert code != 0
         assert "two inputs" in err
+
+
+def readme_commands() -> list:
+    """The commands of the README's ``sh`` block under "Command line", as argv lists."""
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()]
+
+
+class TestReadmeCommands:
+    def test_every_command_exits_0_and_its_comment_holds(self, capsys, tmp_path, monkeypatch):
+        # in a fresh directory, where ``tomo reconstruct t.json`` reads what
+        # ``tomo forward`` wrote
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) == 9
+        outputs = {}
+        for argv in commands:
+            assert argv[0] == "qdilemma"
+            code, out, err = run(capsys, *argv[1:])
+            assert (code, err) == (0, ""), argv
+            outputs[" ".join(argv[1:3])] = out
+        played = json.loads(outputs["play XIX"])["results"]
+        assert played["probabilities"] == {outcome: (1.0 if outcome == "101" else 0.0)
+                                           for outcome in played["probabilities"]}
+        assert played["payoffs"]["mean"] == pytest.approx(19 / 3, abs=1e-12)
+        fidelity = json.loads(outputs["tomo fidelity"])["results"]["fidelity"]
+        assert fidelity == pytest.approx(0.843, abs=1e-3)
+        assert (tmp_path / "t.json").is_file()
 
 
 class TestOsErrors:
@@ -780,6 +851,16 @@ class TestOutputFormats:
         assert code == 0, err
         assert stat.S_IMODE(os.stat(target).st_mode) == 0o604
         assert json.loads(target.read_text(encoding="utf-8"))["params"]["command"] == "xc"
+
+    def test_failed_rename_removes_the_temporary_file(self, capsys, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError(errno.EACCES, "Permission denied", src)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        target = tmp_path / "out.json"
+        code, out, err = run(capsys, "xc", "--output", str(target))
+        assert (code, out, err) == (2, "", f"error: {target}: Permission denied\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_json_echoes_gamma_and_seed(self, capsys):
         doc = run_json(capsys, "play", "HHH", "--gamma", "0.7", "--seed", "9")

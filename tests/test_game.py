@@ -212,6 +212,10 @@ class TestPayoff:
             pay = payoff(delta, TABLE)
             np.testing.assert_array_equal([pay.player1, pay.player2, pay.player3], rows[k])
 
+    def test_rejects_a_distribution_that_is_not_8_long(self):
+        with pytest.raises(ValueError, match=r"^expected 8 outcome probabilities, got shape \(7,\)$"):
+            payoff(np.full(7, 1 / 7), TABLE)
+
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError, match="probability"):
             payoff(np.full(8, 0.25), TABLE)

@@ -8,6 +8,7 @@ from qdilemma.linalg import (
     ClampWarning,
     basis_density,
     basis_state,
+    cnot,
     conjugate_by,
     dagger,
     herm_sqrt,
@@ -71,6 +72,44 @@ class TestKron:
         assert kron(np.eye(4), np.eye(8)).tobytes() == np.kron(np.eye(4), np.eye(8)).tobytes()
         expected = np.kron(np.kron(np.eye(4), np.eye(4)), linalg.I2)
         assert kron3(np.eye(4), np.eye(4), linalg.I2).tobytes() == expected.tobytes()
+
+
+class TestCnot:
+    #: C flips the first of two qubits when the second is 1, C' the second when the first is 1.
+    C = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
+    C_PRIME = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+    def test_two_qubit_matrices(self):
+        assert cnot(1, 0, 2).tobytes() == self.C.tobytes()
+        assert cnot(0, 1, 2).tobytes() == self.C_PRIME.tobytes()
+
+    def test_three_qubit_gates_of_the_entangler_decomposition(self):
+        assert cnot(1, 0, 3).tobytes() == kron(self.C, linalg.I2).tobytes()
+        assert cnot(1, 2, 3).tobytes() == kron(linalg.I2, self.C_PRIME).tobytes()
+
+    @pytest.mark.parametrize("qubits", [2, 3, 4])
+    def test_real_self_inverse_permutation(self, qubits):
+        for control in range(qubits):
+            for target in set(range(qubits)) - {control}:
+                u = cnot(control, target, qubits)
+                assert u.dtype == complex
+                assert not u.imag.any()
+                assert sorted(u.real.ravel()) == [0.0] * (4**qubits - 2**qubits) + [1.0] * 2**qubits
+                np.testing.assert_array_equal(u.sum(axis=0), 1)
+                np.testing.assert_array_equal(u.sum(axis=1), 1)
+                np.testing.assert_array_equal(u @ u, np.eye(2**qubits))
+
+    def test_flips_the_target_where_the_control_is_set(self):
+        # control qubit 3, the ancilla, onto qubit 0 of a 4-qubit register
+        assert cnot(3, 0, 4) @ basis_state("0001") @ basis_state("1001") == 1
+        assert cnot(3, 0, 4) @ basis_state("0110") @ basis_state("0110") == 1
+
+    @pytest.mark.parametrize("control, target, qubits", [
+        (1, 1, 3), (0, 3, 3), (3, 0, 3), (-1, 0, 3), (0, -1, 2), (0, 0, 1),
+    ])
+    def test_rejects_a_repeated_or_outside_qubit(self, control, target, qubits):
+        with pytest.raises(ValueError, match="^cnot needs two distinct qubits of a"):
+            cnot(control, target, qubits)
 
 
 class TestDagger:

@@ -307,6 +307,14 @@ class TestDensityFileFormat:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         np.testing.assert_allclose(read_density_matrix(path), rho, atol=1e-15)
 
+    def test_drops_blank_lines_around_the_matrix(self, rng):
+        rho = random_mixed_density(rng)
+        lines = [" ".join(format(v, ".17g") for v in row) for row in rho.real]
+        lines.append("")
+        lines += [" ".join(format(v, ".17g") for v in row) for row in rho.imag]
+        text = "\n  \n\n" + "\n".join(lines) + "\n\n \n"
+        np.testing.assert_array_equal(parse_density_text(text), rho)
+
     def test_rejects_missing_blank_separator(self):
         with pytest.raises(ValueError, match="blank line"):
             parse_density_text("\n".join(["0 " * 8] * 17))
