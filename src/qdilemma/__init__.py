@@ -13,10 +13,8 @@ from .game import (
     PayoffTable,
     PayoffVector,
     decompose_entangler,
-    disentangler,
     entangler,
     evolve,
-    general_unitary,
     global_phase_distance,
     outcomes,
     parse_profile,
@@ -27,11 +25,9 @@ from .game import (
 from .linalg import (
     basis_density,
     basis_state,
-    conjugate_by,
     dagger,
     herm_sqrt,
     kron,
-    partial_trace_last,
     validate_density_matrix,
 )
 from .noise import ancilla_prepare, corrupted_input, theta_for_x
@@ -54,26 +50,22 @@ __all__ = [
     "basis_density",
     "basis_state",
     "classical_ne_payoff",
-    "conjugate_by",
     "corrupted_input",
     "critical_corruption",
     "dagger",
     "decompose_entangler",
-    "disentangler",
     "dominance",
     "entangler",
     "estimate_expectations",
     "evolve",
     "expectations",
     "fidelity",
-    "general_unitary",
     "global_phase_distance",
     "herm_sqrt",
     "kron",
     "load_reference_state",
     "outcomes",
     "parse_profile",
-    "partial_trace_last",
     "payoff",
     "play",
     "project_to_physical",

@@ -9,9 +9,7 @@ stdout or atomically to ``--output``.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -123,7 +121,8 @@ def _check_shared(args):
                                ("--x", game.check_corruption, args.x),
                                ("--p/--q/--n", _table, args),
                                ("--grid", _check_grid, args.grid),
-                               ("--shots", tomography.check_shots, args.shots)):
+                               ("--shots", tomography.check_shots, args.shots),
+                               ("--output", _check_output, args.output)):
         try:
             check(value)
         except ValueError as exc:
@@ -133,6 +132,11 @@ def _check_shared(args):
 def _check_grid(grid: int):
     if not 1 <= grid <= MAX_GRID:
         raise ValueError(f"must be an integer in [1, {MAX_GRID}], got {grid}")
+
+
+def _check_output(path):
+    if path == "":
+        raise ValueError(f"must name a file, got {path!r}")
 
 
 #: The parameter echo that leads every JSON document, in order.
@@ -296,17 +300,16 @@ def cmd_tomo(args) -> dict:
 #: The ``repr`` and ``.12g`` text of the non-finite floats.
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
-#: Characters for which ``csv.writer`` may quote a field.
+#: Characters that make a CSV field quoted.
 _CSV_SPECIAL = re.compile(r'[,"\r\n]')
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer`` writes a field: quoted where it needs to be."""
+    """``text`` as a CSV field: quoted, with its quotes doubled, if it holds a
+    comma, a double quote, CR or LF."""
     if not _CSV_SPECIAL.search(text):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _csv_cell(value) -> str:
@@ -382,13 +385,13 @@ def _csv_text(echo: dict, columns: dict) -> str:
                     *_row_texts(table, repeat(""), _csv_tokens, closing="\n")])
 
 
-def _records_text(columns: dict, depth: int) -> str:
+def _records_text(columns: dict) -> str:
     """``json.dumps(..., indent=2)`` of the records (one dict per row) of a
-    column table, at ``depth``."""
-    pad = "\n" + "  " * (depth + 1)
+    column table, as the value of a top-level key."""
+    pad = "\n    "
     labels = [f"{pad}  {json.dumps(key)}: " for key in columns]
     records = _row_texts(columns, labels, _json_tokens, "{", pad + "}")
-    return f"[{pad}{(',' + pad).join(records)}\n{'  ' * depth}]" if records else "[]"
+    return f"[{pad}{(',' + pad).join(records)}\n  ]" if records else "[]"
 
 
 def _nested_text(node) -> str:
@@ -420,7 +423,7 @@ def emit(payload: dict, args):
     try:
         if args.fmt == "json":
             results = (_nested_text(payload["results"]) if "results" in payload
-                       else _records_text(columns, 1))
+                       else _records_text(columns))
             # an f-string copies the records once, a chain of + once per operator
             text = f'{{\n  "params": {_nested_text(params)},\n  "results": {results}\n}}\n'
         else:

@@ -25,6 +25,7 @@ OUTCOMES = tuple(f"{k:03b}" for k in range(8))
 #: Negative probabilities above this magnitude are not rounding; :func:`payoff` refuses them.
 NEG_PROB_TOL = 1e-12
 
+#: Largest distance of a distribution's sum from 1 that :func:`payoff` accepts.
 PROB_SUM_TOL = 1e-10
 
 
@@ -39,18 +40,6 @@ def parse_profile(text: str) -> tuple[str, str, str]:
     if len(letters) != 3 or any(c not in GATES for c in letters):
         raise ValueError(f"profile must be three letters from I/H/X, got {text!r}")
     return tuple(letters)
-
-
-def general_unitary(theta: float, phi: float = 0.0, lam: float = 0.0) -> np.ndarray:
-    """Single-qubit unitary with entries cos/sin of theta/2 and phases phi, lam."""
-    c = np.cos(theta / 2)
-    s = np.sin(theta / 2)
-    return np.array(
-        [
-            [c, -np.exp(1j * lam) * s],
-            [np.exp(1j * phi) * s, np.exp(1j * (lam + phi)) * c],
-        ]
-    )
 
 
 def strategy_unitary(letter: str) -> np.ndarray:
@@ -87,11 +76,6 @@ def entangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Three-qubit entangling gate cos(g/2) I + i sin(g/2) X⊗X⊗X."""
     _check_gamma(gamma)
     return np.cos(gamma / 2) * np.eye(8, dtype=complex) + 1j * np.sin(gamma / 2) * _XXX
-
-
-def disentangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Inverse of the entangler, applied before measurement."""
-    return dagger(entangler(gamma))
 
 
 @dataclass(frozen=True)
@@ -154,16 +138,11 @@ class PayoffVector:
         return math.ldexp(total / 3, e)
 
 
-def profile_unitary(profile) -> np.ndarray:
-    """Tensor product of the three players' strategy gates."""
-    s1, s2, s3 = profile
-    return kron3(strategy_unitary(s1), strategy_unitary(s2), strategy_unitary(s3))
-
-
 def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Full game unitary: disentangler · strategies · entangler."""
+    """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler."""
+    s1, s2, s3 = profile
     j = entangler(gamma)
-    return dagger(j) @ profile_unitary(profile) @ j
+    return dagger(j) @ kron3(strategy_unitary(s1), strategy_unitary(s2), strategy_unitary(s3)) @ j
 
 
 def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -172,7 +151,8 @@ def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA)
         rho = linalg.basis_density("000")
     else:
         rho = linalg.validate_density_matrix(rho)
-    return linalg.conjugate_by(circuit_unitary(profile, gamma), rho)
+    u = circuit_unitary(profile, gamma)
+    return u @ rho @ dagger(u)
 
 
 def outcomes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

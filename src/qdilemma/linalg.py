@@ -73,25 +73,6 @@ def cnot(control: int, target: int, qubits: int) -> np.ndarray:
     return np.eye(2**qubits, dtype=complex)[idx ^ (flip << (qubits - 1 - target))]
 
 
-def conjugate_by(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Evolve a state under a unitary: ``rho -> u rho u†``."""
-    u = np.asarray(u)
-    rho = np.asarray(rho)
-    if u.shape != rho.shape:
-        raise ValueError(f"dimension mismatch: operator {u.shape}, state {rho.shape}")
-    return u @ rho @ dagger(u)
-
-
-def partial_trace_last(rho: np.ndarray) -> np.ndarray:
-    """Trace out the last qubit of a multi-qubit density matrix."""
-    rho = np.asarray(rho)
-    d = rho.shape[0]
-    if d < 4:
-        raise ValueError("partial trace needs at least two qubits")
-    h = d // 2
-    return rho.reshape(h, 2, h, 2).trace(axis1=1, axis2=3)
-
-
 def herm_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root of a Hermitian matrix.
 

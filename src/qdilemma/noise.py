@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .game import check_corruption, general_unitary
+from .game import check_corruption
 
 
 def corrupted_input(x: float) -> np.ndarray:
@@ -33,11 +33,13 @@ def ancilla_prepare(x: float) -> np.ndarray:
     """Corrupted input built the hardware way, equal to ``corrupted_input(x)``.
 
     The 4-qubit register (ancilla last) starts as ``|000>`` times the rotated
-    ancilla, and a CNOT from the ancilla onto each game qubit copies it; the
-    register stays a pure statevector until the final partial trace, so the
-    equivalence is exact to rounding.
+    ancilla ``Ry(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>``, and a CNOT
+    from the ancilla onto each game qubit copies it; the register stays a pure
+    statevector until the ancilla is traced out, so the equivalence is exact
+    to rounding.
     """
-    psi = np.kron(linalg.basis_state("000"), general_unitary(theta_for_x(x))[:, 0])
+    half = theta_for_x(x) / 2
+    psi = np.kron(linalg.basis_state("000"), [np.cos(half), np.sin(half)])
     for qubit in range(3):
         psi = linalg.cnot(3, qubit, 4) @ psi
-    return linalg.partial_trace_last(np.outer(psi, psi.conj()))
+    return np.outer(psi, psi.conj()).reshape(8, 2, 8, 2).trace(axis1=1, axis2=3)

@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# no property test has a per-example deadline: its timing depends on the
+# machine and its load, not on the code under test
+settings.register_profile("qdilemma", deadline=None)
+settings.load_profile("qdilemma")
 
 
 @pytest.fixture

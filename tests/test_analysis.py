@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qdilemma.analysis import (
@@ -156,7 +156,6 @@ class TestCriticalCorruption:
         assert math.isfinite(quantum_ne_payoff(table, 1.0))
         assert dominance(table, 0.0)["dominant"] == "quantum"
 
-    @settings(deadline=None)
     @given(log_n=st.floats(-5.0, 308.0), log_ratio=st.floats(0.0, 20.0),
            p_frac=st.one_of(st.floats(0.0, 1.0), st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
     def test_in_half_open_interval_for_random_tables(self, log_n, log_ratio, p_frac):
@@ -208,7 +207,6 @@ class TestDominance:
             x = rng.uniform(0.5, 1.0)
             assert dominance(table, x)["dominant"] != "quantum"
 
-    @settings(deadline=None)
     @given(log_n=st.floats(-5.0, 307.0), q_frac=st.floats(1e-6, 1.0, exclude_max=True),
            p_frac=st.floats(1e-6, 1.0, exclude_max=True),
            x=st.floats(0.5, 1.0, exclude_min=True))
@@ -217,7 +215,6 @@ class TestDominance:
         table = PayoffTable(n * q_frac * p_frac, n * q_frac, n)
         assert dominance(table, x)["dominant"] == "classical"
 
-    @settings(deadline=None)
     @given(n=st.floats(1e-3, 1e3), q_frac=st.floats(1e-3, 1.0, exclude_max=True),
            p_frac=st.floats(1e-3, 1.0, exclude_max=True), x=st.floats(0.0, 1.0),
            k=st.integers(-60, 60))
@@ -320,7 +317,6 @@ class TestSweep:
             assert columns["simulated_classical_mean"][k] == simulated_class_mean(
                 ("X", "X", "X"), TABLE, x, gamma)
 
-    @settings(deadline=None)
     @given(n=st.floats(1e-3, 1e3), q_frac=st.floats(1e-3, 1.0, exclude_max=True),
            p_frac=st.floats(1e-3, 1.0, exclude_max=True),
            xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
@@ -376,7 +372,6 @@ EDGES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, math.inf, -math.inf, math.na
 
 
 class TestColumnarSweep:
-    @settings(deadline=None)
     @given(table=st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1.0, exclude_max=True),
                            st.floats(1e-6, 1.0, exclude_max=True)),
            swept=st.sampled_from(["x", "n", "q"]),

@@ -447,6 +447,7 @@ class TestSharedFlags:
                      id="unphysical-target"),
         pytest.param(["tomo", "estimate", "class7_appendix"], "STATE class7_appendix",
                      id="unphysical-estimate-state"),
+        pytest.param(["play", "XIX", "--output", ""], "--output", id="empty-output"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_out_of_range_flag_fails_up_front(self, capsys, argv, flag, fmt):
@@ -466,6 +467,8 @@ class TestSharedFlags:
                      id="negative-exponent-value"),
         pytest.param(["xc", "--shots", "0"],
                      "--shots: shots must be an integer in [1, 2**63 - 1], got 0", id="zero-shots"),
+        pytest.param(["play", "XIX", "--output", ""], "--output: must name a file, got ''",
+                     id="empty-output"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_refusal_text(self, capsys, argv, message, fmt):
@@ -531,7 +534,7 @@ def argvs(draw, files):
         # "--flag=value" also carries values that argparse would take for a flag
         flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
     if draw(st.booleans()):
-        flags += ["--output", draw(st.sampled_from(files[:2]))]
+        flags += ["--output", draw(st.sampled_from((*files[:2], "")))]
     # unknown to every parser, ambiguous between --shots and --seed, unknown but to sweep
     flags += draw(st.sampled_from(([],) * 8 + (["--bogus", "1"], ["--s", "1"], ["--from", "0"])))
     return head + flags if draw(st.sampled_from((True,) * 9 + (False,))) else flags + head
@@ -556,7 +559,7 @@ def refuse(constant):
 
 
 class TestAnyArgv:
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(data=st.data())
     def test_exit_0_is_a_document_and_exit_2_one_error_line(self, argv_files, data):
         argv = data.draw(argvs(argv_files), label="argv")
@@ -622,14 +625,12 @@ def plant(node, value, data, path):
 
 
 class TestJsonWriter:
-    @settings(deadline=None)
     @given(doc=json_docs())
     def test_equals_indented_dumps(self, doc):
         want = json.dumps({"params": {"command": "test", "gamma": 1.0}, "results": doc},
                           indent=2, allow_nan=False) + "\n"
         assert emitted_json(doc) == want
 
-    @settings(deadline=None)
     @given(doc=json_docs(), value=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
            data=st.data())
     def test_non_finite_value_is_refused_with_its_path(self, doc, value, data):
@@ -700,33 +701,46 @@ def reference_csv_cell(value) -> str:
     return str(value)
 
 
+def reference_csv_row(cells) -> str:
+    """One CSV line from ``csv.writer``, whose CRLF terminator makes it quote a
+    field holding CR as well as one holding LF; the line ends in LF."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def reference_csv(params, rows) -> str:
     """The row-by-row CSV writer that the column writer replaced."""
     echo = {c: params[c] for c in ECHO_KEYS if c not in rows[0]}
     lead = [reference_csv_cell(v) for v in echo.values()]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(echo) + list(rows[0]))
+    lines = [reference_csv_row(list(echo) + list(rows[0]))]
     for row in rows:
-        writer.writerow(lead + [format(v, ".12g") if v.__class__ is float and v - v == 0.0
-                                else reference_csv_cell(v) for v in row.values()])
-    return buf.getvalue()
+        lines.append(reference_csv_row(lead + [
+            format(v, ".12g") if v.__class__ is float and v - v == 0.0
+            else reference_csv_cell(v) for v in row.values()]))
+    return "".join(lines)
 
 
 class TestColumnWriters:
-    @settings(deadline=None)
     @given(params=echo_params(), table=column_tables())
     def test_records_equal_indented_dumps(self, params, table):
         want = json.dumps({"params": params, "results": records(table)},
                           indent=2, allow_nan=False) + "\n"
         assert emitted_table(params, table, "json") == want
 
-    @settings(deadline=None)
     @given(params=echo_params(), table=column_tables(min_rows=1))
     def test_csv_equals_the_row_by_row_writer(self, params, table):
         assert emitted_table(params, table, "csv") == reference_csv(params, records(table))
 
-    @settings(deadline=None)
+    @given(params=echo_params(), table=column_tables(min_rows=1))
+    def test_csv_reads_back_to_the_header_and_cells(self, params, table):
+        rows = records(table)
+        echo = {c: params[c] for c in ECHO_KEYS if c not in rows[0]}
+        header, *read = csv.reader(io.StringIO(emitted_table(params, table, "csv"), newline=""))
+        assert header == list(echo) + list(rows[0])
+        assert read == [[reference_csv_cell(v) for v in (*echo.values(), *row.values())]
+                        for row in rows]
+
     @given(params=echo_params(), table=column_tables(min_rows=1), fmt=st.sampled_from(["json", "csv"]),
            value=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
            data=st.data())

@@ -9,17 +9,15 @@ from qdilemma.linalg import (
     basis_density,
     basis_state,
     cnot,
-    conjugate_by,
     dagger,
     herm_sqrt,
     kron,
     kron3,
-    partial_trace_last,
     validate_density_matrix,
 )
 from qdilemma.game import entangler, rx
 
-from helpers import oracle_partial_trace_last, random_mixed_density
+from helpers import random_mixed_density
 
 
 class TestKron:
@@ -122,81 +120,6 @@ class TestDagger:
     def test_entangler_unitarity(self):
         j = entangler(np.pi / 2)
         np.testing.assert_allclose(dagger(j) @ j, np.eye(8), atol=1e-12)
-
-
-class TestConjugateBy:
-    def test_identity_leaves_state(self, rng):
-        rho = random_mixed_density(rng)
-        np.testing.assert_allclose(conjugate_by(np.eye(8), rho), rho, atol=1e-15)
-
-    def test_triple_flip_on_000(self):
-        x3 = kron3(linalg.X, linalg.X, linalg.X)
-        np.testing.assert_allclose(
-            conjugate_by(x3, basis_density("000")), basis_density("111"), atol=1e-15
-        )
-
-    def test_entangler_on_000_diagonal(self):
-        # hand algebra: the maximally entangled output has half weight on each
-        # of |000> and |111>
-        out = conjugate_by(entangler(), basis_density("000"))
-        expected_diag = np.array([0.5, 0, 0, 0, 0, 0, 0, 0.5])
-        np.testing.assert_allclose(np.diag(out).real, expected_diag, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            conjugate_by(np.eye(4), np.eye(8) / 8)
-
-    def test_composition_property(self, rng):
-        # conjugating twice equals conjugating by the product
-        gates = (linalg.I2, linalg.H, linalg.X)
-        for _ in range(20):
-            u = kron3(*(gates[i] for i in rng.integers(0, 3, size=3))) @ entangler()
-            v = kron3(*(gates[i] for i in rng.integers(0, 3, size=3))) @ dagger(entangler())
-            rho = random_mixed_density(rng)
-            np.testing.assert_allclose(
-                conjugate_by(u, conjugate_by(v, rho)), conjugate_by(u @ v, rho), atol=1e-10
-            )
-
-
-class TestPartialTraceLast:
-    def test_product_state(self):
-        np.testing.assert_array_equal(
-            partial_trace_last(basis_density("0000")), basis_density("000")
-        )
-
-    def test_ghz_style_mixture(self):
-        # (sqrt(1-x)|0000> + sqrt(x)|1111>)(h.c.) traces to the two-point mixture
-        x = 0.37
-        psi = np.zeros(16, dtype=complex)
-        psi[0] = np.sqrt(1 - x)
-        psi[15] = np.sqrt(x)
-        rho = np.outer(psi, psi.conj())
-        expected = np.zeros((8, 8), dtype=complex)
-        expected[0, 0] = 1 - x
-        expected[7, 7] = x
-        result = partial_trace_last(rho)
-        np.testing.assert_allclose(result, oracle_partial_trace_last(rho), atol=1e-15)
-        np.testing.assert_allclose(result, expected, atol=1e-15)
-
-    def test_trace_preserved(self, rng):
-        rho = random_mixed_density(rng, qubits=4)
-        np.testing.assert_allclose(np.trace(partial_trace_last(rho)), 1.0, atol=1e-12)
-
-    def test_matches_oracle_on_random_states(self, rng):
-        for _ in range(10):
-            rho = random_mixed_density(rng, qubits=4)
-            np.testing.assert_allclose(
-                partial_trace_last(rho), oracle_partial_trace_last(rho), atol=1e-14
-            )
-
-    def test_single_qubit_rejected(self):
-        with pytest.raises(ValueError, match="two qubits"):
-            partial_trace_last(np.eye(2) / 2)
-
-    def test_inverse_of_fresh_qubit_extension(self, rng):
-        rho = random_mixed_density(rng, qubits=3)
-        extended = kron(rho, basis_density("0"))
-        np.testing.assert_allclose(partial_trace_last(extended), rho, atol=1e-14)
 
 
 class TestHermSqrt:

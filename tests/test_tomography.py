@@ -182,7 +182,7 @@ def fresh_stream_estimate(rho, shots, seed):
 
 
 class TestSeededStream:
-    @settings(deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(state_seed=st.integers(0, 2**32 - 1),
            shots=st.one_of(st.sampled_from([1, 7, 8192, 10**6, 2**31 - 1]),
                            st.integers(1, 10**7)),
