@@ -158,8 +158,10 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     :data:`SWEEP_COLUMNS`, in that order, of equal-length lists with one entry
     per grid point, in grid order.  ``value`` is the swept parameter's values,
     the same list object as that parameter's column, and ``p, q, n, x`` echo
-    the full effective parameter set.  Grid points whose stakes violate
-    0 < p < q < n, or whose corruption lies outside [0, 1], are kept with
+    the full effective parameter set; likewise ``simulated_classical_mean`` of
+    a corruption sweep is ``classical_ne_mean``'s list object when the two are
+    equal bit for bit, as at the default stakes.  Grid points whose stakes
+    violate 0 < p < q < n, or whose corruption lies outside [0, 1], are kept with
     ``valid`` false and the message of :class:`~qdilemma.game.PayoffTable`
     or :func:`~qdilemma.game.check_corruption` as ``error`` instead of numbers.
     A value that does not vary along the grid, such as a held stake, is one
@@ -201,13 +203,17 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     with np.errstate(all="ignore"):
         valid = (0.0 < p) & (p < q) & (q < n) & np.isfinite(n) & (0.0 <= xs) & (xs <= 1.0)
         quantum = _float_column(_quantum_ne(p, q, n, xs), m)
-        classical = _float_column(_classical_ne(q, xs), m)
+        classical = _classical_ne(q, xs)
         numerator, x_c = _crossing(p, q, n)
         x_c = _float_column(x_c, m)
         if swept == "x":
             sim_quantum = ((1.0 - xs) * mixed0 + xs * mixed1).tolist()
-            sim_classical = ((1.0 - xs) * flip0 + xs * flip1).tolist()
+            sim_classical = (1.0 - xs) * flip0 + xs * flip1
+            same = sim_classical.tobytes() == classical.tobytes()  # bit for bit
+            classical = classical.tolist()
+            sim_classical = classical if same else sim_classical.tolist()
         else:
+            classical = _float_column(classical, m)
             sim_quantum, sim_classical = [None] * m, [None] * m
 
     for k in np.flatnonzero(valid & (numerator <= 0.0)).tolist():

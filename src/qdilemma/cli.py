@@ -18,7 +18,7 @@ import stat
 import sys
 import tempfile
 import warnings
-from itertools import repeat
+from itertools import chain, repeat
 from operator import is_
 
 import numpy as np
@@ -340,40 +340,47 @@ _ENCODE_CELLS = json.JSONEncoder(allow_nan=False, separators=(",\n", ": ")).enco
 
 
 def _json_tokens(column: list) -> list:
-    """JSON text of each cell of a column of scalars: ``float.__repr__`` for
-    floats, as the C encoder writes them, and for the rest one C-encoder call,
-    split on its item separator (no scalar's JSON text holds a newline)."""
-    try:
-        tokens = list(map(float.__repr__, column))
-    except TypeError:  # a cell that is not a float
+    """JSON text of each cell of a column of scalars: ``repr`` for a column of
+    exact floats (not numpy's, whose ``repr`` is ``np.float64(...)``), as the C
+    encoder writes them, and for any other one C-encoder call, split on its
+    item separator (no scalar's JSON text holds a newline)."""
+    if {*map(type, column)} != {float}:
         return _ENCODE_CELLS(column)[1:-1].split(",\n")
+    tokens = list(map(repr, column))
     if not _NON_FINITE.isdisjoint(tokens):
         raise ValueError("non-finite value")
     return tokens
 
 
-def _row_texts(columns: dict, labels, tokens, opening: str = "", closing: str = "") -> list:
-    """JSON records or CSV rows: ``opening``, each column's label and cell joined
-    by commas, and ``closing``, filled into one ``%`` template per row.  A
-    column that repeats one object (by identity: ``0.0 == -0.0``, and a NaN
-    must still reach ``tokens`` to be refused) is formatted once, into the
-    template; every other column once per distinct list object."""
+def _joined_rows(columns: dict, labels, tokens, separator: str, opening: str = "",
+                 closing: str = "") -> str:
+    """JSON records or CSV rows joined by ``separator``: each row is ``opening``,
+    each column's label and cell joined by commas, and ``closing``.  A column
+    that repeats one object (by identity: ``0.0 == -0.0``, and a NaN must still
+    reach ``tokens`` to be refused) is formatted once and folded into the
+    literal text between the varying cells; every other column is formatted
+    once per distinct list object, and all rows are one join."""
     m = len(next(iter(columns.values())))
     if not m:
-        return []
-    cells, varying, memo = [], [], {}
-    for label, column in zip(labels, columns.values()):
+        return ""
+    # literal text and varying token lists, alternating, literal first and last
+    parts, memo = [separator + opening], {}
+    for k, (label, column) in enumerate(zip(labels, columns.values())):
         if id(column) not in memo:
             first = column[0]
-            memo[id(column)] = (tokens([first])[0].replace("%", "%%")
-                                if all(map(is_, column, repeat(first))) else tokens(column))
+            memo[id(column)] = (tokens([first])[0] if all(map(is_, column, repeat(first)))
+                                else tokens(column))
         cell = memo[id(column)]
+        parts[-1] += ("," if k else "") + label
         if isinstance(cell, list):
-            varying.append(cell)
-            cell = "%s"
-        cells.append(label.replace("%", "%%") + cell)
-    template = opening + ",".join(cells) + closing
-    return [template % row for row in zip(*varying)] if varying else [template % ()] * m
+            parts += [cell, ""]
+        else:
+            parts[-1] += cell
+    # the last literal, repeated m times, ends the zip when no column varies
+    segments = [repeat(part) if isinstance(part, str) else part for part in parts[:-1]]
+    text = "".join(chain.from_iterable(zip(*segments, repeat(parts[-1] + closing, m))))
+    # every row is led by the separator, the first one too
+    return text[len(separator):]
 
 
 def _csv_text(echo: dict, columns: dict) -> str:
@@ -381,8 +388,8 @@ def _csv_text(echo: dict, columns: dict) -> str:
     m = len(next(iter(columns.values())))
     table = {key: [value] * m for key, value in echo.items()}
     table.update(columns)
-    return "".join([",".join(map(_csv_field, table)) + "\n",
-                    *_row_texts(table, repeat(""), _csv_tokens, closing="\n")])
+    return (",".join(map(_csv_field, table)) + "\n"
+            + _joined_rows(table, repeat(""), _csv_tokens, "", closing="\n"))
 
 
 def _records_text(columns: dict) -> str:
@@ -390,8 +397,8 @@ def _records_text(columns: dict) -> str:
     column table, as the value of a top-level key."""
     pad = "\n    "
     labels = [f"{pad}  {json.dumps(key)}: " for key in columns]
-    records = _row_texts(columns, labels, _json_tokens, "{", pad + "}")
-    return f"[{pad}{(',' + pad).join(records)}\n  ]" if records else "[]"
+    records = _joined_rows(columns, labels, _json_tokens, "," + pad, "{", pad + "}")
+    return f"[{pad}{records}\n  ]" if records else "[]"
 
 
 def _nested_text(node) -> str:

@@ -257,6 +257,18 @@ class TestSweep:
             columns["classical_ne_mean"], abs=1e-10
         )
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 1.0, np.pi / 2])
+    def test_bit_identical_classical_columns_are_one_list(self, gamma):
+        columns = sweep(TABLE, "x", np.linspace(0, 1, 2001), gamma=gamma)
+        assert columns["simulated_classical_mean"] is columns["classical_ne_mean"]
+
+    def test_classical_columns_one_ulp_apart_are_two_lists(self):
+        columns = sweep(PayoffTable(0.05, 0.1, 1.0), "x", np.linspace(0, 1, 2001))
+        simulated, closed = columns["simulated_classical_mean"], columns["classical_ne_mean"]
+        assert simulated is not closed
+        assert simulated[0] != closed[0]
+        assert simulated[0] == pytest.approx(closed[0], rel=1e-15)
+
     def test_stake_sweep_raises_crossing_with_n(self):
         columns = sweep(TABLE, "n", range(3, 101))
         values = columns["x_c"]

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import hashlib
 import io
 import json
 import math
@@ -757,6 +758,69 @@ class TestColumnWriters:
             emitted_table(params, table, fmt)
         assert str(info.value) == (
             f"result holds the non-finite value {float(value)!r} at {where}[{k}].{key}")
+
+
+class TestExactFloatCells:
+    """Only a cell whose type is exactly ``float`` is written with ``float.__repr__``:
+    ``repr`` of a numpy float64 is ``np.float64(...)`` in numpy 2."""
+
+    @pytest.mark.parametrize("column", [
+        [np.float64(0.1), np.float64(-2.5), np.float64(1e-300)],
+        [0.1, np.float64(-2.5), 1e-300],
+        [np.float64(0.1), -2.5, np.float64(1e-300)],
+    ], ids=["float64", "float then float64", "float64 then float"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_float64_cells_are_plain_float_text(self, fmt, column):
+        text = emitted_table(dict.fromkeys(ECHO_KEYS, 1.0), {"v": column}, fmt)
+        assert "np." not in text and "float64" not in text
+        if fmt == "json":
+            assert [row["v"] for row in json.loads(text)["results"]] == [0.1, -2.5, 1e-300]
+        else:
+            assert [row["v"] for row in csv.DictReader(io.StringIO(text))] == [
+                "0.1", "-2.5", "1e-300"]
+
+
+#: SHA-256 of the output of ``sweep ... --grid 2001`` in each format, captured
+#: before the record writer was rewritten as one join: held stakes, swept
+#: stakes, invalid points (``valid`` false with an ``error``), the
+#: no-advantage regime (``x_c`` null), and a table at which the two classical
+#: columns of an x-sweep differ in the last bit.
+GOLDEN_SWEEPS = [
+    (["sweep", "x"], "json", "3d439ea0aeb239bc87f089abd67dad1d8f4b7dcd773ddc4965a6fa8d66465a5e"),
+    (["sweep", "x"], "csv", "ebf55b047479882f95763ef7abb6238e3c2a35f1d38755f4366d8eced2638c9c"),
+    (["sweep", "n", "--from", "3", "--to", "30"], "json",
+     "21aa797b18599063f088e1c551f111641fd7bd80959b9c17b3a77212805f9050"),
+    (["sweep", "n", "--from", "3", "--to", "30"], "csv",
+     "9ff4b1050a01c814df44134bbf4c1d667c9cd748fcf648dc510ca7623bd909b7"),
+    (["sweep", "q", "--from", "1.5", "--to", "8"], "json",
+     "452a760be834fa60a5398e27b46122d966be469048b01f0f633a2897bdf0c9df"),
+    (["sweep", "q", "--from", "1.5", "--to", "8"], "csv",
+     "f22d76955a45f052a82a671dbbbfe7f2782cb76ee2e21fb02e996347fb203618"),
+    (["sweep", "q", "--from", "0", "--to", "12"], "json",
+     "8bf4c10276e61360814a36d7461c66e6454e6415dcdf74d667114e8bc19746ed"),
+    (["sweep", "q", "--from", "0", "--to", "12"], "csv",
+     "dfc88edda12b1a57e2b53a24fc220e41819b5830e819f3bee4575b87c7e05906"),
+    (["sweep", "x", "--q", "5", "--n", "6", "--gamma", "0.3"], "json",
+     "156a3fc59df047ec8d3165e77a1282cec788c69eaddb6bc50aff966a2f36e156"),
+    (["sweep", "x", "--q", "5", "--n", "6", "--gamma", "0.3"], "csv",
+     "6127c5b2daa3f8067a6c9e64a0283b0df2b5381325551d06466bde48bf969bdc"),
+    (["sweep", "x", "--from", "-0.5", "--to", "1.5", "--gamma", "1"], "json",
+     "8a305b0f0e6a3a7bdc874d613f85d0aaebc7780d4d01bb14deccec7fab1ba9f1"),
+    (["sweep", "x", "--from", "-0.5", "--to", "1.5", "--gamma", "1"], "csv",
+     "385fd2a69dffa92ca236fdf49e5ff2a0e99e4ab8eeaac99c9c42f94d58b0a788"),
+    (["sweep", "x", "--p", "0.05", "--q", "0.1", "--n", "1"], "json",
+     "fcb91d3b4908b231237a4d2577427d217f512c452b956baf2973ccc599de38d6"),
+    (["sweep", "x", "--p", "0.05", "--q", "0.1", "--n", "1"], "csv",
+     "80fc76906acba88df7c820ca2f2c3bd4d20902e86351973e60df95a016d79284"),
+]
+
+
+@pytest.mark.parametrize("argv, fmt, digest", GOLDEN_SWEEPS,
+                         ids=[" ".join(argv[1:]) + f" {fmt}" for argv, fmt, _ in GOLDEN_SWEEPS])
+def test_sweep_output_is_byte_identical_to_the_golden_digest(capsys, argv, fmt, digest):
+    code, out, err = run(capsys, *argv, "--grid", "2001", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 ECHO = ",".join(ECHO_KEYS)

@@ -108,8 +108,9 @@ def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens):
     payload = cli.cmd_sweep(args)
     with contextlib.redirect_stdout(io.StringIO()):
         cli.emit(payload, args)
-    # value and x are one list; quantum, classical and the two simulated means vary
-    assert lengths.count(2001) == 5
+    # value and x are one list, and so are the two classical means; quantum,
+    # classical and the simulated quantum mean vary
+    assert lengths.count(2001) == 4
     # every other column repeats one object and is formatted from its first cell
     assert set(lengths) == {1, 2001}
 
