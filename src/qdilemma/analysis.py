@@ -12,7 +12,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .game import DEFAULT_GAMMA, PayoffTable, _check_gamma, check_corruption, outcomes, payoff, play
+from .game import DEFAULT_GAMMA, PayoffTable, check_corruption, check_gamma, outcomes, payoff, play
 
 #: Census label of each strategy class and its multiset as a sorted letter
 #: triple.  Two ties in the reference payoffs are settled by convention: the
@@ -154,11 +154,13 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     """Evaluate both equilibria and the crossing point over a parameter grid.
 
     ``swept`` is one of ``"x"``, ``"n"``, ``"q"``; the other parameters are
-    held at ``table`` and ``x``.  Returns a column table: a dict keyed by
-    :data:`SWEEP_COLUMNS`, in that order, of equal-length lists with one entry
-    per grid point, in grid order.  ``value`` is the swept parameter's values,
-    the same list object as that parameter's column, and ``p, q, n, x`` echo
-    the full effective parameter set; likewise ``simulated_classical_mean`` of
+    held at ``table`` and ``x``, and the swept one's field of ``table`` (or
+    ``x``) is not read, so it need only make ``table`` valid.  Returns a
+    column table: a dict keyed by :data:`SWEEP_COLUMNS`, in that order, of
+    equal-length lists with one entry per grid point, in grid order.
+    ``value`` is the swept parameter's values, the same list object as that
+    parameter's column, and ``p, q, n, x`` echo the full effective parameter
+    set; likewise ``simulated_classical_mean`` of
     a corruption sweep is ``classical_ne_mean``'s list object when the two are
     equal bit for bit, as at the default stakes.  Grid points whose stakes
     violate 0 < p < q < n, or whose corruption lies outside [0, 1], are kept with
@@ -179,7 +181,7 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     """
     if swept not in SWEEPABLE:
         raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {swept!r}")
-    _check_gamma(gamma)
+    check_gamma(gamma)
     values = np.asarray(grid, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"sweep grid must be one-dimensional, got shape {values.shape}")

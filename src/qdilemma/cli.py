@@ -26,7 +26,6 @@ import numpy as np
 from . import analysis, game, linalg, noise, tomography
 from .game import PayoffTable
 
-_PROFILE_RE = re.compile(r"[IHXihx]{3}")
 _BITS_RE = re.compile(r"[01]{3}")
 
 #: Most points a sweep may have (a 2001-point JSON sweep is about 760 KB).
@@ -49,11 +48,11 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", type=float, default=1.0, help="lone-player payoff (default 1)")
-    common.add_argument("--q", type=float, default=2.0, help="all-go payoff (default 2)")
-    common.add_argument("--n", type=float, default=9.0, help="win/loss magnitude (default 9)")
+    for stake, text in zip("pqn", ("lone-player payoff", "all-go payoff", "win/loss magnitude")):
+        common.add_argument(f"--{stake}", type=float, default=getattr(PayoffTable, stake),
+                            help=f"{text} (default %(default)s)")
     common.add_argument("--x", type=float, default=0.0, help="source corruption in [0,1] (default 0)")
-    common.add_argument("--gamma", type=float, default=math.pi / 2,
+    common.add_argument("--gamma", type=float, default=game.DEFAULT_GAMMA,
                         help="entanglement strength in [0, pi/2] (default pi/2)")
     common.add_argument("--shots", type=int, default=8192, help="shots for estimation (default 8192)")
     common.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
@@ -117,7 +116,7 @@ def main(argv=None) -> int:
 
 def _check_shared(args):
     """Reject an out-of-range shared flag whatever the command."""
-    for flag, check, value in (("--gamma", game._check_gamma, args.gamma),
+    for flag, check, value in (("--gamma", game.check_gamma, args.gamma),
                                ("--x", game.check_corruption, args.x),
                                ("--p/--q/--n", _table, args),
                                ("--grid", _check_grid, args.grid),
@@ -168,7 +167,18 @@ def _row_table(row: dict) -> dict:
 
 
 def _table(args) -> PayoffTable:
-    return PayoffTable(args.p, args.q, args.n)
+    """The flags' stakes.  A stake sweep does not read its swept stake's flag: the
+    table holds the next float above the held stake below the swept one, which the
+    sweep overwrites."""
+    stakes = {"p": args.p, "q": args.q, "n": args.n}
+    swept = getattr(args, "swept", "x")
+    if swept != "x":
+        stakes[swept] = math.nextafter(stakes["q" if swept == "n" else "p"], math.inf)
+    try:
+        return PayoffTable(**stakes)
+    except ValueError:
+        PayoffTable(args.p, args.q, args.n)  # fails too, and names the flags' values
+        raise
 
 
 def cmd_play(args) -> dict:
@@ -237,8 +247,11 @@ def _resolve_state(token: str, args, role: str = "STATE", raw: bool = True) -> n
     not a raw state, or unless ``raw`` a physical one, is named by role and token."""
     if role == "TARGET" and _BITS_RE.fullmatch(token):
         return linalg.basis_density(token)
-    if _PROFILE_RE.fullmatch(token):
+    try:
         profile = game.parse_profile(token)
+    except ValueError:  # not a profile
+        pass
+    else:
         return game.evolve(profile, noise.corrupted_input(args.x), args.gamma)
     if token in tomography.REFERENCE_STATES:
         rho = tomography.load_reference_state(token)
@@ -261,18 +274,16 @@ def _tensor_payload(args, t: np.ndarray, token: str) -> dict:
 
 
 def cmd_tomo(args) -> dict:
-    task = args.task
+    task, inputs = args.task, args.inputs
+    if len(inputs) != 1 + (task == "fidelity"):
+        count = "two inputs: STATE TARGET" if task == "fidelity" else "one input"
+        raise ValueError(f"tomo {task} takes exactly {count}")
+    token = inputs[0]
     if task == "fidelity":
-        if len(args.inputs) != 2:
-            raise ValueError("tomo fidelity takes exactly two inputs: STATE TARGET")
-        state = _resolve_state(args.inputs[0], args)
-        target = _resolve_state(args.inputs[1], args, "TARGET", raw=False)
+        state = _resolve_state(token, args)
+        target = _resolve_state(inputs[1], args, "TARGET", raw=False)
         results = {"fidelity": tomography.fidelity(state, target)}
-        return _payload(args, _row_table(results), results, state=args.inputs[0],
-                        target=args.inputs[1])
-    if len(args.inputs) != 1:
-        raise ValueError(f"tomo {task} takes exactly one input")
-    token = args.inputs[0]
+        return _payload(args, _row_table(results), results, state=token, target=inputs[1])
     if task == "forward":
         t = tomography.expectations(_resolve_state(token, args))
         return _tensor_payload(args, t, token)

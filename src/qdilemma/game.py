@@ -37,7 +37,8 @@ GATES = {"I": I2, "H": H, "X": X}
 def parse_profile(text: str) -> tuple[str, str, str]:
     """Parse a profile string like ``"XIX"`` into upper-case letters; the leftmost is player 1."""
     letters = text.upper()
-    if len(letters) != 3 or any(c not in GATES for c in letters):
+    # ASCII only: the dotless "ı" upper-cases to "I"
+    if not text.isascii() or len(letters) != 3 or any(c not in GATES for c in letters):
         raise ValueError(f"profile must be three letters from I/H/X, got {text!r}")
     return tuple(letters)
 
@@ -55,9 +56,12 @@ def rx(angle: float) -> np.ndarray:
     return np.cos(angle / 2) * I2 - 1j * np.sin(angle / 2) * X
 
 
-def _check_gamma(gamma: float):
+def check_gamma(gamma: float) -> float:
+    """Validate an entanglement strength and return it as a float."""
+    gamma = float(gamma)
     if not 0.0 <= gamma <= np.pi / 2:
         raise ValueError(f"gamma must lie in [0, pi/2], got {gamma}")
+    return gamma
 
 
 def check_corruption(x: float) -> float:
@@ -74,7 +78,7 @@ _XXX = kron3(X, X, X)
 
 def entangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Three-qubit entangling gate cos(g/2) I + i sin(g/2) X⊗X⊗X."""
-    _check_gamma(gamma)
+    check_gamma(gamma)
     return np.cos(gamma / 2) * np.eye(8, dtype=complex) + 1j * np.sin(gamma / 2) * _XXX
 
 

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdilemma import cli
-from qdilemma.cli import MAX_GRID, emit, main
+from qdilemma.cli import MAX_GRID, build_parser, emit, main
+from qdilemma.game import DEFAULT_GAMMA, PayoffTable
 
 from helpers import subprocess_env
 
@@ -140,6 +141,29 @@ class TestSweep:
         doc = run_json(capsys, "sweep", "q", "--from", "1.1", "--to", "8.9", "--grid", "9")
         for row in doc["results"]:
             assert row["classical_ne_mean"] == pytest.approx(row["value"], abs=1e-12)
+
+    @pytest.mark.parametrize("argv, held", [
+        (("n", "--from", "20", "--to", "100", "--q", "10"), {"p": 1.0, "q": 10.0}),
+        (("q", "--from", "6", "--to", "8", "--p", "5", "--n", "20"), {"p": 5.0, "n": 20.0}),
+    ])
+    def test_stake_sweep_does_not_read_its_swept_flag(self, capsys, argv, held):
+        # the default --n 9 is below --q 10, and the default --q 2 below --p 5
+        rows = run_json(capsys, "sweep", *argv, "--grid", "5")["results"]
+        assert [row["value"] for row in rows] == [row[argv[0]] for row in rows]
+        for row in rows:
+            assert row["valid"] is True and row["error"] is None
+            assert {key: row[key] for key in held} == held
+
+    @pytest.mark.parametrize("argv, values", [
+        (("n", "--q", "nan"), "p=1.0, q=nan, n=9.0"),
+        (("n", "--p", "3", "--q", "2"), "p=3.0, q=2.0, n=9.0"),
+        (("q", "--p", "2", "--n", "1"), "p=2.0, q=2.0, n=1.0"),
+    ])
+    def test_stake_sweep_checks_its_held_pair(self, capsys, argv, values):
+        # the message names the flags' values, not the swept stake the table holds
+        code, out, err = run(capsys, "sweep", *argv, "--from", "3", "--to", "9")
+        assert_one_error(code, out, err, "error: --p/--q/--n: ")
+        assert err.endswith(f"got {values}\n")
 
     def test_missing_range_fails(self, capsys):
         code, _, err = run(capsys, "sweep", "n")
@@ -281,6 +305,49 @@ class TestTomo:
         code, _, err = run(capsys, "tomo", "fidelity", "class7_appendix")
         assert code != 0
         assert "two inputs" in err
+
+    def test_forward_takes_one_input(self, capsys):
+        code, out, err = run(capsys, "tomo", "forward", "XIX", "HIX")
+        assert (code, out, err) == (2, "", "error: tomo forward takes exactly one input\n")
+
+
+@pytest.fixture(scope="module")
+def empty_dir(tmp_path_factory):
+    """A directory with no file in it, so that no token names a file."""
+    return tmp_path_factory.mktemp("empty")
+
+
+class TestOneProfileRule:
+    @given(token=st.text(alphabet="IHXihx01ıİ", min_size=3, max_size=3))
+    def test_play_and_tomo_accept_the_same_profiles(self, empty_dir, token):
+        # "ı" (U+0131) upper-cases to "I"; "İ" (U+0130) stays itself
+        outcomes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.chdir(empty_dir)
+            for argv in (["play", token], ["tomo", "forward", token]):
+                with contextlib.redirect_stdout(io.StringIO()) as out, \
+                        contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = main(argv)
+                outcomes.append((code, out.getvalue(), err.getvalue()))
+        assert outcomes[0][0] == outcomes[1][0]
+        for code, out, err in outcomes:
+            if code:
+                assert_one_error(code, out, err, "error: ")
+
+
+class TestDefaults:
+    def test_stakes_and_gamma_come_from_game(self):
+        args = build_parser().parse_args(["xc"])
+        table = PayoffTable()
+        assert (args.p, args.q, args.n, args.gamma) == (table.p, table.q, table.n, DEFAULT_GAMMA)
+
+    def test_help_prints_the_stake_defaults(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["xc", "--help"])
+        assert info.value.code == 0
+        text = capsys.readouterr().out
+        for stake in ("payoff (default 1.0)", "payoff (default 2.0)", "magnitude (default 9.0)"):
+            assert stake in text
 
 
 def readme_commands() -> list:

@@ -9,6 +9,7 @@ from qdilemma.game import (
     GATES,
     PayoffTable,
     PayoffVector,
+    check_gamma,
     decompose_entangler,
     entangler,
     evolve,
@@ -44,6 +45,18 @@ class TestEntangler:
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
             entangler(np.pi)
+
+
+class TestCheckGamma:
+    @pytest.mark.parametrize("gamma", [0, 1, np.float64(0.5), np.pi / 2])
+    def test_returns_a_float(self, gamma):
+        checked = check_gamma(gamma)
+        assert type(checked) is float and checked == gamma
+
+    @pytest.mark.parametrize("gamma", [-1e-300, np.nextafter(np.pi / 2, 2.0), np.nan, np.inf])
+    def test_refuses_outside_zero_to_half_pi(self, gamma):
+        with pytest.raises(ValueError, match=r"gamma must lie in \[0, pi/2\]"):
+            check_gamma(gamma)
 
 
 class TestStrategyUnitary:
@@ -276,7 +289,8 @@ class TestParseProfile:
     def test_accepts_lowercase(self):
         assert parse_profile("xhi") == ("X", "H", "I")
 
-    @pytest.mark.parametrize("text", ["", "XX", "XXXX", "XYZ", "ABC", "1HX"])
+    # "ı".upper() is "I", but only ASCII text is a profile
+    @pytest.mark.parametrize("text", ["", "XX", "XXXX", "XYZ", "ABC", "1HX", "ıxx"])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError, match="profile"):
             parse_profile(text)
