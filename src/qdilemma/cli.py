@@ -228,7 +228,8 @@ def cmd_sweep(args) -> dict:
         raise ValueError(f"sweep range [{start}, {stop}] is wider than the largest float")
     grid = np.linspace(start, stop, args.grid)
     columns = analysis.sweep(_table(args), args.swept, grid, x=args.x, gamma=args.gamma)
-    return _payload(args, columns, swept=args.swept, start=start, stop=stop)
+    # the swept flag is not read: its echo is null, and start and stop give the range
+    return _payload(args, columns, swept=args.swept, start=start, stop=stop, **{args.swept: None})
 
 
 def cmd_xc(args) -> dict:

@@ -60,7 +60,7 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
 
 
 def check_shots(shots: int) -> int:
-    """Validate a shot count and return it as an int; the binomial draw takes a C long."""
+    """Validate a shot count and return it as an int; the binomial draw takes an int64."""
     shots = operator.index(shots)
     if not 1 <= shots < 2**63:
         raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots}")
@@ -72,28 +72,19 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
 
     Each of the 63 non-identity Pauli strings is measured independently:
     ``shots`` outcomes are drawn from its two-point (+1/-1) distribution under
-    ``rho`` and averaged.  Every string gets its own counter-based stream
-    keyed by (seed, string index), so the result is reproducible and
-    independent of evaluation order.  The seed is reduced mod 2**64 exactly,
-    so any integer, negative ones included, is a distinct valid seed.
+    ``rho`` and averaged.  All strings are drawn from one counter-based stream
+    keyed by the seed, in flat (i, j, k) order, so the result is reproducible.
+    The seed is reduced mod 2**64 exactly, so any integer, negative ones
+    included, is a distinct valid seed.
     """
     rho = validate_density_matrix(rho)
     shots = check_shots(shots)
     p_plus = np.clip((1.0 + _expectations(rho).ravel()) / 2.0, 0.0, 1.0)
-    bits = np.random.Philox(key=np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64))
-    rng = np.random.Generator(bits)
-    # Re-keying one bit generator to counter 0 and an empty buffer gives the
-    # stream a fresh Philox(key=[seed, flat]) would; the Generator's binomial
-    # cache depends only on (shots, p), so it may carry over between strings.
-    fresh = bits.state
-    key = fresh["state"]["key"]
+    key = np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     t = np.empty(64)
     t[0] = 1.0
-    for flat in range(1, 64):
-        key[1] = flat
-        bits.state = fresh
-        wins = int(rng.binomial(shots, p_plus[flat]))
-        t[flat] = (2.0 * wins - shots) / shots
+    t[1:] = (2.0 * rng.binomial(shots, p_plus[1:]) - shots) / shots
     return t.reshape(4, 4, 4)
 
 

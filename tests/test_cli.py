@@ -154,6 +154,16 @@ class TestSweep:
             assert row["valid"] is True and row["error"] is None
             assert {key: row[key] for key in held} == held
 
+    @pytest.mark.parametrize("argv, start, stop", [
+        (("x", "--x", "0.7"), 0.0, 1.0),
+        (("n", "--from", "20", "--to", "100", "--q", "10"), 20.0, 100.0),
+        (("q", "--from", "6", "--to", "8", "--p", "5", "--n", "20"), 6.0, 8.0),
+    ])
+    def test_json_params_write_null_for_the_swept_flag(self, capsys, argv, start, stop):
+        params = run_json(capsys, "sweep", *argv, "--grid", "3")["params"]
+        assert params[argv[0]] is None
+        assert (params["swept"], params["start"], params["stop"]) == (argv[0], start, stop)
+
     @pytest.mark.parametrize("argv, values", [
         (("n", "--q", "nan"), "p=1.0, q=nan, n=9.0"),
         (("n", "--p", "3", "--q", "2"), "p=3.0, q=2.0, n=9.0"),
@@ -851,32 +861,33 @@ class TestExactFloatCells:
 #: before the record writer was rewritten as one join: held stakes, swept
 #: stakes, invalid points (``valid`` false with an ``error``), the
 #: no-advantage regime (``x_c`` null), and a table at which the two classical
-#: columns of an x-sweep differ in the last bit.
+#: columns of an x-sweep differ in the last bit.  A JSON ``params`` holds null
+#: for the swept flag.
 GOLDEN_SWEEPS = [
-    (["sweep", "x"], "json", "3d439ea0aeb239bc87f089abd67dad1d8f4b7dcd773ddc4965a6fa8d66465a5e"),
+    (["sweep", "x"], "json", "f975392af53388d9942c1cbe69a27cbd8c47388945fa1b8975d257ad17abe0b1"),
     (["sweep", "x"], "csv", "ebf55b047479882f95763ef7abb6238e3c2a35f1d38755f4366d8eced2638c9c"),
     (["sweep", "n", "--from", "3", "--to", "30"], "json",
-     "21aa797b18599063f088e1c551f111641fd7bd80959b9c17b3a77212805f9050"),
+     "6d554eb07183fc52f6f6fe6de46fa390d5b2c7266fa7493418e552b482d352fa"),
     (["sweep", "n", "--from", "3", "--to", "30"], "csv",
      "9ff4b1050a01c814df44134bbf4c1d667c9cd748fcf648dc510ca7623bd909b7"),
     (["sweep", "q", "--from", "1.5", "--to", "8"], "json",
-     "452a760be834fa60a5398e27b46122d966be469048b01f0f633a2897bdf0c9df"),
+     "cc374783b1afd3728547133ce4031c9cdd938ff093fecb8cc6483b2526cbdf92"),
     (["sweep", "q", "--from", "1.5", "--to", "8"], "csv",
      "f22d76955a45f052a82a671dbbbfe7f2782cb76ee2e21fb02e996347fb203618"),
     (["sweep", "q", "--from", "0", "--to", "12"], "json",
-     "8bf4c10276e61360814a36d7461c66e6454e6415dcdf74d667114e8bc19746ed"),
+     "02b4a190cfdd6765f69877661c0991bc53104d3807a7c797b219272648001578"),
     (["sweep", "q", "--from", "0", "--to", "12"], "csv",
      "dfc88edda12b1a57e2b53a24fc220e41819b5830e819f3bee4575b87c7e05906"),
     (["sweep", "x", "--q", "5", "--n", "6", "--gamma", "0.3"], "json",
-     "156a3fc59df047ec8d3165e77a1282cec788c69eaddb6bc50aff966a2f36e156"),
+     "48ef5772b322582c54722d387352c8c6ea4c553fb29788a84006cd322d040147"),
     (["sweep", "x", "--q", "5", "--n", "6", "--gamma", "0.3"], "csv",
      "6127c5b2daa3f8067a6c9e64a0283b0df2b5381325551d06466bde48bf969bdc"),
     (["sweep", "x", "--from", "-0.5", "--to", "1.5", "--gamma", "1"], "json",
-     "8a305b0f0e6a3a7bdc874d613f85d0aaebc7780d4d01bb14deccec7fab1ba9f1"),
+     "d996a0833174a536ead960ec4d9de0a80dc3d598d0efa1d11256e44c2fda42cb"),
     (["sweep", "x", "--from", "-0.5", "--to", "1.5", "--gamma", "1"], "csv",
      "385fd2a69dffa92ca236fdf49e5ff2a0e99e4ab8eeaac99c9c42f94d58b0a788"),
     (["sweep", "x", "--p", "0.05", "--q", "0.1", "--n", "1"], "json",
-     "fcb91d3b4908b231237a4d2577427d217f512c452b956baf2973ccc599de38d6"),
+     "4ef0299a84bdcee4f01a3ec3af46bcc7921682308b89c29c6e305e201a04345e"),
     (["sweep", "x", "--p", "0.05", "--q", "0.1", "--n", "1"], "csv",
      "80fc76906acba88df7c820ca2f2c3bd4d20902e86351973e60df95a016d79284"),
 ]

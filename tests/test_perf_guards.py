@@ -28,6 +28,20 @@ def test_one_bit_generator_per_estimate(monkeypatch):
     assert len(built) == 1
 
 
+def test_one_binomial_call_per_estimate(monkeypatch):
+    draws = []
+
+    class Counting(np.random.Generator):
+        def binomial(self, *args, **kwargs):
+            draws.append(1)
+            return super().binomial(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    tomography.estimate_expectations(evolve(parse_profile("HIX")), 8192, 7)
+    # all 63 strings in one vectorised draw, not one call per string
+    assert len(draws) == 1
+
+
 @pytest.mark.parametrize("call, checks", [
     (lambda rho: tomography.estimate_expectations(rho, 8192, 7), 1),
     (tomography.expectations, 1),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdilemma import linalg
@@ -165,17 +165,16 @@ class TestEstimateExpectations:
                 check_shots(bad)
 
 
-def fresh_stream_estimate(rho, shots, seed):
-    """Reference estimator: a new Philox keyed [seed mod 2**64, string index] per string."""
+def one_stream_estimate(rho, shots, seed):
+    """Reference estimator: scalar draws from one Philox keyed [seed mod 2**64, 0], in flat order."""
     exact = expectations(rho)
-    key = seed % 2**64
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
     t = np.empty((4, 4, 4))
     t[0, 0, 0] = 1.0
-    for flat, idx in enumerate(product(range(4), repeat=3)):
+    for idx in product(range(4), repeat=3):
         if idx == (0, 0, 0):
             continue
         p_plus = min(max((1.0 + exact[idx]) / 2.0, 0.0), 1.0)
-        rng = np.random.Generator(np.random.Philox(key=np.array([key, flat], dtype=np.uint64)))
         wins = int(rng.binomial(shots, p_plus))
         t[idx] = (2.0 * wins - shots) / shots
     return t
@@ -187,16 +186,16 @@ class TestSeededStream:
            shots=st.one_of(st.sampled_from([1, 7, 8192, 10**6, 2**31 - 1]),
                            st.integers(1, 10**7)),
            seed=st.integers(-2**70, 2**70))
-    def test_matches_a_fresh_stream_per_string(self, state_seed, shots, seed):
+    def test_matches_one_stream_drawn_in_flat_order(self, state_seed, shots, seed):
         rho = random_mixed_density(np.random.default_rng(state_seed))
-        expected = fresh_stream_estimate(rho, shots, seed)
+        expected = one_stream_estimate(rho, shots, seed)
         assert estimate_expectations(rho, shots, seed).tobytes() == expected.tobytes()
 
     def test_golden_digest(self):
-        # SHA-256 of the tensor bytes, unchanged since the per-string generators
+        # SHA-256 of the tensor bytes, unchanged since the one stream in flat order
         t = estimate_expectations(evolve(parse_profile("HIX")), 8192, 42)
         assert hashlib.sha256(t.tobytes()).hexdigest() == (
-            "3d89da3b9bb17076444b54ff3d31b66562770d83857b887abd1e3e807ebb479c")
+            "30bde954af47c64e7caba7fb490707279e0852afeb94716fcecb15ccdd537357")
 
     def test_negative_seed_is_its_own_stream(self):
         rho = evolve(parse_profile("HIX"))
@@ -208,6 +207,35 @@ class TestSeededStream:
         rho = evolve(parse_profile("HIX"))
         assert not np.array_equal(estimate_expectations(rho, 8192, 2**63),
                                   estimate_expectations(rho, 8192, 2**63 + 1))
+
+
+#: Probability that any of the 63 estimates leaves the Hoeffding bound below.
+HOEFFDING_DELTA = 1e-9
+
+#: A physical state: a random mixed or pure state, or a game state, which
+#: reaches expectations near but not on ±1 at small gamma and corruption.
+physical_states = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda s: random_mixed_density(np.random.default_rng(s))),
+    st.integers(0, 2**32 - 1).map(lambda s: random_pure_density(np.random.default_rng(s))),
+    st.builds(lambda letters, x, gamma: evolve(letters, corrupted_input(x), gamma),
+              st.tuples(*[st.sampled_from("IHX")] * 3),
+              st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2)),
+)
+
+
+class TestShotDistribution:
+    @settings(max_examples=60)
+    @given(rho=physical_states, shots=st.integers(1, 10**6), seed=st.integers(-2**70, 2**70))
+    # string (0, 3, 1) has the exact value -0.9999973, where a normal-tail bound is too tight
+    @example(rho=evolve(("I", "X", "H"), corrupted_input(0.8413), 0.00231),
+             shots=8192, seed=3209852122)
+    def test_every_string_lies_within_the_hoeffding_bound(self, rho, shots, seed):
+        # each string averages `shots` outcomes in [-1, 1], so by Hoeffding and a union
+        # bound over the 63 strings all lie this close to the exact value with
+        # probability at least 1 - delta, near ±1 as well
+        bound = np.sqrt(2 * np.log(2 * 63 / HOEFFDING_DELTA) / shots)
+        error = np.abs(estimate_expectations(rho, shots, seed) - expectations(rho))
+        assert error.max() <= bound
 
 
 class TestFidelity:
