@@ -302,7 +302,10 @@ def cmd_tomo(args) -> dict:
         tensor = np.array(doc["results"]["tensor"], dtype=float)
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{token}: does not contain a results.tensor block") from None
-    rho = tomography.reconstruct(tensor)
+    try:
+        rho = tomography.reconstruct(tensor)
+    except ValueError as exc:
+        raise ValueError(f"{token}: {exc}") from None
     columns = dict(zip(("row", "col"), np.indices(rho.shape).reshape(2, -1).tolist()))
     columns.update(re=rho.real.ravel().tolist(), im=rho.imag.ravel().tolist())
     results = {"real": rho.real.tolist(), "imag": rho.imag.tolist()}

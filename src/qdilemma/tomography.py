@@ -1,10 +1,13 @@
 """Pauli-basis state tomography, shot-based estimation, and Uhlmann fidelity.
 
 A 3-qubit state is fully described by the 4x4x4 tensor of expectation values
-of the 64 Pauli strings; linear inversion recovers the matrix as
-``(1/8) sum_t t[i,j,k] s_i ⊗ s_j ⊗ s_k``.  Inversion of noisy data can
-produce "raw" matrices (Hermitian, unit trace, but not positive); those are
-accepted wherever it is meaningful, in particular by :func:`fidelity`.
+of the 64 Pauli strings.  With the strings flattened into the rows of one
+64x64 matrix ``P``, the forward map is ``t = Re(conj(P) @ vec(rho))`` and linear
+inversion is ``vec(rho) = t @ P / 8``; the one inverts the other because
+``conj(P) @ P.T == 8 I`` holds exactly (every entry of ``P`` is 0, ±1 or ±i).
+Inversion of noisy data can produce "raw" matrices (Hermitian, unit trace,
+but not positive); those are accepted wherever it is meaningful, in
+particular by :func:`fidelity`.
 """
 
 from __future__ import annotations
@@ -15,14 +18,10 @@ from itertools import product
 
 import numpy as np
 
-from . import linalg
-from .linalg import TOL, dagger, herm_sqrt, kron3, validate_density_matrix
+from .linalg import PAULIS, TOL, dagger, herm_sqrt, kron3, validate_density_matrix
 
-#: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k stacked in row-major (i, j, k) order.
-_PAULI_STRINGS = np.stack([
-    kron3(linalg.PAULIS[i], linalg.PAULIS[j], linalg.PAULIS[k])
-    for i, j, k in product(range(4), repeat=3)
-])
+#: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k, flattened into rows in row-major (i, j, k) order.
+_PAULI = np.stack([kron3(a, b, c).ravel() for a, b, c in product(PAULIS, repeat=3)])
 
 
 def expectations(rho: np.ndarray) -> np.ndarray:
@@ -37,10 +36,8 @@ def expectations(rho: np.ndarray) -> np.ndarray:
 
 def _expectations(rho: np.ndarray) -> np.ndarray:
     """:func:`expectations` of a state that has already been validated."""
-    # tr(rho s) = sum_ab rho[a, b] s[b, a]; this summation order matches np.trace(rho @ s)
-    # bit for bit, which keeps seeded estimates stable (a flattened matrix product does not)
-    values = (rho * _PAULI_STRINGS.transpose(0, 2, 1)).sum(axis=2).sum(axis=1)
-    return values.real.reshape(4, 4, 4)
+    # tr(rho s) = sum_ab rho[a, b] s[b, a], and s[b, a] = conj(s[a, b]) for a Hermitian s
+    return (_PAULI.conj() @ rho.ravel()).real.reshape(4, 4, 4)
 
 
 def reconstruct(t: np.ndarray) -> np.ndarray:
@@ -56,7 +53,7 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
         raise ValueError("expectation tensor has non-finite entries")
     if abs(t[0, 0, 0] - 1.0) > TOL:
         raise ValueError(f"t[0,0,0] = {t[0, 0, 0]!r} must be 1 (unit trace)")
-    return (t.reshape(64, 1, 1) * _PAULI_STRINGS).sum(axis=0) / 8.0
+    return (t.ravel() @ _PAULI / 8.0).reshape(8, 8)
 
 
 def check_shots(shots: int) -> int:

@@ -29,10 +29,13 @@ from helpers import subprocess_env
 #: A file that exists and is neither JSON nor a matrix file.
 PLAIN_TEXT = str(Path(__file__).with_name("conftest.py"))
 
-#: JSON files whose ``results.tensor`` is not numeric, or ragged.
+#: JSON files whose ``results.tensor`` is not numeric, or ragged; numeric but
+#: a scalar; and 4x4x4 with t[0,0,0] = 2 (trace 2).
 DATA = Path(__file__).with_name("data")
 NOT_NUMERIC_TENSOR = str(DATA / "tensor_not_numeric.json")
 RAGGED_TENSOR = str(DATA / "tensor_ragged.json")
+SCALAR_TENSOR = str(DATA / "tensor_scalar.json")
+TRACE_TWO_TENSOR = str(DATA / "tensor_trace_two.json")
 #: Matrix files that parse but fail the density-matrix check: Hermitian but
 #: for one off-diagonal entry, and the identity over 4 (trace 2).
 NOT_HERMITIAN_MATRIX = str(DATA / "matrix_not_hermitian.txt")
@@ -458,7 +461,7 @@ class TestNonFiniteInputs:
         path = tmp_path / "nan.json"
         path.write_text(json.dumps({"results": {"tensor": t.tolist()}}), encoding="utf-8")
         code, out, err = run(capsys, "tomo", "reconstruct", str(path))
-        assert_one_error(code, out, err, "non-finite")
+        assert_one_error(code, out, err, f"error: {path}: expectation tensor has non-finite entries")
 
 
 class TestEmitBackstop:
@@ -509,6 +512,9 @@ class TestSharedFlags:
         pytest.param(["tomo", "reconstruct", NOT_NUMERIC_TENSOR], NOT_NUMERIC_TENSOR,
                      id="tensor-not-numeric"),
         pytest.param(["tomo", "reconstruct", RAGGED_TENSOR], RAGGED_TENSOR, id="tensor-ragged"),
+        pytest.param(["tomo", "reconstruct", SCALAR_TENSOR], SCALAR_TENSOR, id="tensor-wrong-shape"),
+        pytest.param(["tomo", "reconstruct", TRACE_TWO_TENSOR], TRACE_TWO_TENSOR,
+                     id="tensor-bad-trace"),
         pytest.param(["tomo", "forward", PLAIN_TEXT], PLAIN_TEXT, id="not-a-matrix"),
         pytest.param(["sweep", "x", "--grid", str(MAX_GRID + 1)], "--grid", id="grid-above-cap"),
         pytest.param(["sweep", "x", "--grid", "0"], "--grid", id="empty-grid"),

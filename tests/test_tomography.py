@@ -13,6 +13,7 @@ from qdilemma.game import evolve, parse_profile
 from qdilemma.linalg import basis_density, dagger, max_abs, validate_density_matrix
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
+    _PAULI,
     check_shots,
     estimate_expectations,
     expectations,
@@ -359,21 +360,42 @@ class TestDensityFileFormat:
             parse_density_text("\n".join(rows + [""] + bad))
 
 
-def test_matches_the_per_string_loop_bit_for_bit(rng):
-    # the seeded estimator draws from these values, so the stacked forms must
-    # reproduce the per-string trace and the ordered accumulation exactly
-    strings = [np.kron(np.kron(linalg.PAULIS[i], linalg.PAULIS[j]), linalg.PAULIS[k])
-               for i, j, k in product(range(4), repeat=3)]
-    for rho in [random_mixed_density(rng) for _ in range(10)] + [
-            evolve(parse_profile("HIX")), load_reference_state("class7_appendix")]:
-        oracle = np.array([np.trace(rho @ s).real for s in strings]).reshape(4, 4, 4)
-        t = expectations(rho)
-        assert np.array_equal(t, oracle)
-        acc = np.zeros((8, 8), dtype=complex)
-        for value, s in zip(t.ravel(), strings):
-            if value != 0.0:
-                acc += value * s
-        assert reconstruct(t).tobytes() == (acc / 8.0).tobytes()
+#: The 64 Pauli strings as 8x8 matrices, in row-major (i, j, k) order.
+PAULI_STRINGS = [np.kron(np.kron(linalg.PAULIS[i], linalg.PAULIS[j]), linalg.PAULIS[k])
+                 for i, j, k in product(range(4), repeat=3)]
+
+
+def random_raw_density(rng):
+    """A Hermitian unit-trace matrix that is mostly not positive: a mixed state
+    plus a traceless Hermitian kick."""
+    a = crandn((8, 8), rng)
+    kick = (a + dagger(a)) / 2
+    kick -= np.trace(kick).real / 8 * np.eye(8)
+    return random_mixed_density(rng) + 0.2 * kick
+
+
+@settings(max_examples=200)
+@given(rho=st.one_of(
+    physical_states,
+    st.integers(0, 2**32 - 1).map(lambda s: random_raw_density(np.random.default_rng(s)))))
+@example(rho=load_reference_state("class7_appendix"))
+def test_matrix_forms_match_the_per_string_sums(rho):
+    # the matrix products sum in another order than one trace per string, so
+    # they agree to rounding, not bit for bit
+    oracle = np.array([np.trace(rho @ s).real for s in PAULI_STRINGS]).reshape(4, 4, 4)
+    t = expectations(rho)
+    assert max_abs(t - oracle) <= 1e-15
+    acc = np.zeros((8, 8), dtype=complex)
+    for value, s in zip(t.ravel(), PAULI_STRINGS):
+        acc += value * s
+    assert max_abs(reconstruct(t) - acc / 8.0) <= 1e-15
+
+
+def test_pauli_matrix_rows_are_orthogonal_with_norm_8():
+    # every entry is 0, ±1 or ±i, so the products are exact and conj(P) / 8
+    # inverts P.T: reconstruct undoes expectations
+    assert _PAULI.shape == (64, 64)
+    assert np.array_equal(_PAULI.conj() @ _PAULI.T, 8 * np.eye(64))
 
 
 def test_pauli_strings_cover_all_64(rng):
