@@ -25,6 +25,9 @@ PAULIS = (I2, X, Y, Z)
 TOL = 1e-12
 #: Eigenvalues in [-PSD_SLACK, 0) are treated as rounding noise.
 PSD_SLACK = 1e-10
+#: Eigenvalues at most this fraction of a matrix's scale (its largest eigenvalue,
+#: unless it was computed from larger numbers) are rounding dust, clamped to zero.
+DUST_RTOL = 8 * np.finfo(float).eps
 
 
 class ClampWarning(UserWarning):
@@ -33,7 +36,7 @@ class ClampWarning(UserWarning):
 
 def max_abs(a) -> float:
     """Largest entry magnitude (max norm)."""
-    return float(np.max(np.abs(a)))
+    return float(abs(a).max())
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -73,49 +76,64 @@ def cnot(control: int, target: int, qubits: int) -> np.ndarray:
     return np.eye(2**qubits, dtype=complex)[idx ^ (flip << (qubits - 1 - target))]
 
 
+def check_spectrum(w: np.ndarray) -> None:
+    """The positivity rule: ascending eigenvalues ``w`` of a density matrix reach
+    no lower than ``-PSD_SLACK``."""
+    if w[0] < -PSD_SLACK:
+        raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+
+
+def clamp_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
+    """The clamp rule: ascending eigenvalues ``w`` with negatives and rounding dust zeroed.
+
+    Eigenvalues at most ``DUST_RTOL`` of ``scale`` become zero: negative
+    ones, and rounding dust, whose roots would be ~3e-9.  The scale is the
+    matrix's largest eigenvalue, or, for a matrix computed from larger
+    numbers, whose rounding it carries, theirs.  A negative eigenvalue
+    beyond ``PSD_SLACK`` raises a :class:`ClampWarning` carrying the clamped
+    magnitude.
+    """
+    if w[0] < -PSD_SLACK:
+        warnings.warn(
+            f"clamped negative eigenvalue of magnitude {-w[0]:.3e} to zero",
+            ClampWarning,
+            stacklevel=3,
+        )
+    return np.where(w > DUST_RTOL * scale, w, 0.0)
+
+
 def herm_sqrt(a: np.ndarray) -> np.ndarray:
     """Positive-semidefinite square root of a Hermitian matrix.
 
-    Eigenvalues at most ``8 eps`` of the largest (negative ones and rounding
-    dust, whose roots would be ~3e-9) are zeroed before square-rooting.  A
-    negative one beyond ``PSD_SLACK`` raises a :class:`ClampWarning` carrying
-    the clamped magnitude.
+    Its eigenvalues are clamped by :func:`clamp_spectrum` before
+    square-rooting.
     """
     a = np.asarray(a)
     if max_abs(a - dagger(a)) > TOL:
         raise ValueError("herm_sqrt requires a Hermitian matrix")
     w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_SLACK:
-        warnings.warn(
-            f"clamped negative eigenvalue of magnitude {-w[0]:.3e} to zero",
-            ClampWarning,
-            stacklevel=2,
-        )
-    w = np.where(w > 8 * np.finfo(float).eps * w[-1], w, 0.0)
-    return (v * np.sqrt(w)) @ dagger(v)
+    return (v * np.sqrt(clamp_spectrum(w, w[-1]))) @ dagger(v)
 
 
 def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     """Check the invariants of a 3-qubit density matrix and return it as a complex array.
 
     Finite entries, an 8x8 shape, Hermiticity and unit trace are always
-    enforced; positivity (eigenvalues down to ``-PSD_SLACK``) is skipped for
-    ``raw`` states such as linear-inversion tomography output.
+    enforced; positivity (:func:`check_spectrum`) is skipped for ``raw``
+    states such as linear-inversion tomography output.
     """
     rho = np.asarray(rho, dtype=complex)
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise ValueError("density matrix has non-finite entries")
     if rho.shape != (8, 8):
         raise ValueError(f"expected a 3-qubit (8x8) density matrix, got shape {rho.shape}")
     if max_abs(rho - dagger(rho)) > TOL:
         raise ValueError("density matrix is not Hermitian")
-    trace = np.trace(rho)
+    trace = rho.trace()
     if abs(trace - 1.0) > TOL:
         raise ValueError(f"density matrix trace {trace.real:.15g} is not 1")
     if not raw:
-        lowest = np.linalg.eigvalsh(rho)[0]
-        if lowest < -PSD_SLACK:
-            raise ValueError(f"density matrix has negative eigenvalue {lowest:.3e}")
+        check_spectrum(np.linalg.eigvalsh(rho))
     return rho
 
 

@@ -18,7 +18,8 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import PAULIS, TOL, dagger, herm_sqrt, kron3, validate_density_matrix
+from .linalg import (PAULIS, TOL, check_spectrum, clamp_spectrum, dagger, kron3,
+                     validate_density_matrix)
 
 #: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k, flattened into rows in row-major (i, j, k) order.
 _PAULI = np.stack([kron3(a, b, c).ravel() for a, b, c in product(PAULIS, repeat=3)])
@@ -52,7 +53,7 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError("expectation tensor has non-finite entries")
     if abs(t[0, 0, 0] - 1.0) > TOL:
-        raise ValueError(f"t[0,0,0] = {t[0, 0, 0]!r} must be 1 (unit trace)")
+        raise ValueError(f"t[0,0,0] = {float(t[0, 0, 0])!r} must be 1 (unit trace)")
     return (t.ravel() @ _PAULI / 8.0).reshape(8, 8)
 
 
@@ -88,17 +89,27 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Closeness tr sqrt(sqrt(sigma) rho sqrt(sigma)) of ``rho`` to a physical ``sigma``.
 
-    ``rho`` may be raw; negative eigenvalues met along the way are clamped by
-    :func:`~qdilemma.linalg.herm_sqrt` (with a warning beyond rounding slack).
-    For a pure ``sigma = |psi><psi|`` this reduces to
-    ``sqrt(max(0, <psi|rho|psi>))``.
+    With ``sigma = V D V†``, the matrix under the root is unitarily similar
+    to ``sqrt(D) V† rho V sqrt(D)``, which is zero outside the support of
+    ``sigma``.  So one eigendecomposition of ``sigma`` suffices: with ``u``
+    the columns of ``V sqrt(D)`` whose eigenvalue is nonzero after the clamp
+    rule, the fidelity is the sum of the roots of the eigenvalues of the
+    r x r block ``u† rho u``, r the rank of ``sigma``.  ``rho`` may be raw.
+    The block's eigenvalues are clamped by
+    :func:`~qdilemma.linalg.clamp_spectrum` (with a warning beyond rounding
+    slack) at the scale of ``sigma``'s largest eigenvalue, whose rounding the
+    block carries, so rounding dust adds 0 rather than a root of ~1e-8.  For a
+    pure ``sigma = |psi><psi|`` the block is the number ``<psi|rho|psi>``, so
+    the fidelity is ``sqrt(max(0, <psi|rho|psi>))`` to rounding.
     """
     rho = validate_density_matrix(rho, raw=True)
-    sigma = validate_density_matrix(sigma)
-    root = herm_sqrt(sigma)
-    mid = root @ rho @ root
-    mid = (mid + dagger(mid)) / 2
-    return float(np.trace(herm_sqrt(mid)).real)
+    w, v = np.linalg.eigh(validate_density_matrix(sigma, raw=True))
+    check_spectrum(w)
+    w = clamp_spectrum(w, w[-1])
+    u = (v * np.sqrt(w))[:, w > 0.0]
+    block = dagger(u) @ rho @ u
+    block = (block + dagger(block)) / 2
+    return float(np.sqrt(clamp_spectrum(np.linalg.eigvalsh(block), w[-1])).sum())
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:

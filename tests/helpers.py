@@ -59,8 +59,8 @@ def ordered_product(steps):
     return out
 
 
-def oracle_game_probs(letters, rho, gamma):
-    """Brute-force outcome distribution built from scratch with numpy only."""
+def oracle_circuit(letters, gamma):
+    """Game unitary J† S J built from scratch with numpy only."""
     gates = {
         "I": np.eye(2, dtype=complex),
         "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -69,5 +69,41 @@ def oracle_game_probs(letters, rho, gamma):
     s = np.kron(np.kron(gates[letters[0]], gates[letters[1]]), gates[letters[2]])
     x3 = np.kron(np.kron(gates["X"], gates["X"]), gates["X"])
     j = np.cos(gamma / 2) * np.eye(8, dtype=complex) + 1j * np.sin(gamma / 2) * x3
-    u = j.conj().T @ s @ j
+    return j.conj().T @ s @ j
+
+
+def oracle_game_probs(letters, rho, gamma):
+    """Brute-force outcome distribution built from scratch with numpy only."""
+    u = oracle_circuit(letters, gamma)
     return np.diag(u @ rho @ u.conj().T).real
+
+
+def oracle_game_factor(letters, x, gamma):
+    """The 8x2 factor ``a`` of the game state ``a a†`` on the corrupted input.
+
+    Its columns are the circuit's columns 0 and 7, weighted by the roots of
+    the input's probabilities 1-x and x.
+    """
+    return oracle_circuit(letters, gamma)[:, [0, 7]] * np.sqrt([1.0 - x, x])
+
+
+def oracle_game_target_roots(a, letters, x, gamma):
+    """Roots of the nonzero eigenvalues of sqrt(target) rho sqrt(target), largest first.
+
+    ``rho = a a†`` and the target is the game state of ``letters`` at
+    corruption ``x``, ``u u†`` for ``u = oracle_game_factor(letters, x, gamma)``.
+    With ``c`` the two circuit columns, ``sqrt(target) = u c†``, and ``c†``
+    keeps singular values, so the roots are the two singular values of
+    ``k = a† u``, whose sum is the fidelity.  The larger eigenvalue of the
+    2x2 matrix ``k†k = [[p, b], [b*, q]]`` is ``(p + q)/2 + hypot((p - q)/2, |b|)``,
+    and the smaller one is ``det(k†k)`` over it, where by Cauchy-Binet
+    ``det(k†k)`` is the sum of the squared 2x2 minors of ``k``.  So no step
+    takes the root of a difference, and no eigendecomposition is used.
+    """
+    k = a.conj().T @ oracle_game_factor(letters, x, gamma)
+    p, q = np.sum(np.abs(k) ** 2, axis=0)
+    b = abs(np.vdot(k[:, 0], k[:, 1]))
+    minors = k[:, None, 0] * k[None, :, 1] - k[:, None, 1] * k[None, :, 0]
+    product = np.sqrt(np.sum(np.abs(np.triu(minors, 1)) ** 2))
+    largest = np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, b))
+    return float(largest), float(product / largest) if largest else 0.0

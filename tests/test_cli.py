@@ -42,7 +42,7 @@ NOT_HERMITIAN_MATRIX = str(DATA / "matrix_not_hermitian.txt")
 TRACE_TWO_MATRIX = str(DATA / "matrix_trace_two.txt")
 
 
-#: A fidelity whose raw STATE has a negative eigenvalue, which ``herm_sqrt`` clamps.
+#: A fidelity whose raw STATE has a negative eigenvalue, which the clamp rule clamps.
 CLAMPING_FIDELITY = ("tomo", "fidelity", "class7_appendix", "HHH", "--x", "0.3")
 CLAMP_LINE = "warning: clamped negative eigenvalue of magnitude 5.983e-02 to zero\n"
 
@@ -553,6 +553,10 @@ class TestSharedFlags:
                      "--shots: shots must be an integer in [1, 2**63 - 1], got 0", id="zero-shots"),
         pytest.param(["play", "XIX", "--output", ""], "--output: must name a file, got ''",
                      id="empty-output"),
+        # the entry prints as a float, not as numpy's np.float64(2.0)
+        pytest.param(["tomo", "reconstruct", TRACE_TWO_TENSOR],
+                     f"{TRACE_TWO_TENSOR}: t[0,0,0] = 2.0 must be 1 (unit trace)",
+                     id="tensor-trace-two"),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_refusal_text(self, capsys, argv, message, fmt):

@@ -11,6 +11,7 @@ import pytest
 
 from qdilemma import analysis, cli, game, linalg, tomography
 from qdilemma.game import PayoffTable, evolve, parse_profile
+from qdilemma.noise import corrupted_input
 
 from helpers import subprocess_env
 
@@ -59,6 +60,25 @@ def test_each_state_checked_once_per_public_call(monkeypatch, call, checks):
     monkeypatch.setattr(tomography, "validate_density_matrix", counting)
     call(evolve(parse_profile("HIX")))
     assert len(calls) == checks
+
+
+def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
+    # a raw reconstruction against a rank-2 game target, as in repeated tomography
+    state = tomography.reconstruct(tomography.estimate_expectations(
+        evolve(parse_profile("HIX"), corrupted_input(0.3)), 8192, 7))
+    target = evolve(parse_profile("XIX"), corrupted_input(0.3))
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _original=original, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    tomography.fidelity(state, target)
+    # one 8x8 eigendecomposition of the target, then the 2x2 block on its support
+    assert shapes == [(8, 8), (2, 2)]
 
 
 def test_no_np_kron_on_import_or_evolve():

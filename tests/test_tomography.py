@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdilemma import linalg
-from qdilemma.game import evolve, parse_profile
+from qdilemma.game import circuit_unitary, evolve, parse_profile
 from qdilemma.linalg import basis_density, dagger, max_abs, validate_density_matrix
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
@@ -25,7 +25,13 @@ from qdilemma.tomography import (
     reconstruct,
 )
 
-from helpers import crandn, random_mixed_density, random_pure_density
+from helpers import (
+    crandn,
+    oracle_game_factor,
+    oracle_game_target_roots,
+    random_mixed_density,
+    random_pure_density,
+)
 
 #: The maximally mixed state plus 0.45e-12j · I⊗I⊗X, within the Hermiticity tolerance.
 NEAR_HERMITIAN_MATRIX = Path(__file__).with_name("data") / "matrix_near_hermitian.txt"
@@ -224,6 +230,44 @@ physical_states = st.one_of(
 )
 
 
+#: A raw state: linear inversion of a finite-shot estimate of a physical state.
+raw_states = st.builds(lambda rho, shots, seed: reconstruct(estimate_expectations(rho, shots, seed)),
+                       physical_states, st.integers(1, 10**4), st.integers(0, 2**32 - 1))
+
+#: A unit vector: a random one, or the pure game state on the pristine input.
+unit_vectors = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda s: crandn(8, np.random.default_rng(s)))
+    .map(lambda psi: psi / np.linalg.norm(psi)),
+    st.builds(lambda letters, gamma: circuit_unitary(letters, gamma)[:, 0],
+              st.tuples(*[st.sampled_from("IHX")] * 3), st.floats(0.0, np.pi / 2)),
+)
+
+#: A physical state with the 8xk factor ``a`` of ``rho = a a†``: a random
+#: full-rank one, or a game state.
+factored_states = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda s: crandn((8, 8), np.random.default_rng(s)))
+    .map(lambda a: a / np.linalg.norm(a)),
+    st.builds(oracle_game_factor, st.tuples(*[st.sampled_from("IHX")] * 3),
+              st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2)),
+)
+
+
+def rounding(rho):
+    """Bound on the rounding of ``v† rho v`` for a unit ``v``, with a margin of 8."""
+    return 8 * np.finfo(float).eps * max(1.0, np.linalg.norm(np.abs(rho), 2))
+
+
+def assert_root_of_overlap(value, psi, rho):
+    """``value`` is ``sqrt(max(0, <psi|rho|psi>))`` to rounding."""
+    overlap = (psi.conj() @ rho @ psi).real
+    if value == 0.0:
+        # a negative overlap, or one that the clamp rule zeroes as dust
+        assert overlap <= linalg.DUST_RTOL + rounding(rho)
+    else:
+        # the squares, as near 0 the root's slope magnifies the overlap's rounding
+        assert abs(value**2 - overlap) <= rounding(rho)
+
+
 class TestShotDistribution:
     @settings(max_examples=60)
     @given(rho=physical_states, shots=st.integers(1, 10**6), seed=st.integers(-2**70, 2**70))
@@ -256,6 +300,41 @@ class TestFidelity:
         target = evolve(parse_profile("HIX"), corrupted_input(0.3))
         assert fidelity(state, target) == pytest.approx(0.70710678118654742627, abs=1e-15)
 
+    @settings(max_examples=100)
+    @given(rho=st.one_of(physical_states, raw_states), psi=unit_vectors)
+    # the overlap is -0.463, so the fidelity is exactly 0, not the root of rounding dust
+    @example(rho=load_reference_state("class7_appendix"),
+             psi=circuit_unitary(("H", "I", "H"), 1.0)[:, 0])
+    def test_pure_target_gives_the_root_of_the_overlap(self, rho, psi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", linalg.ClampWarning)
+            value = fidelity(rho, np.outer(psi, psi.conj()))
+        assert_root_of_overlap(value, psi, rho)
+
+    @settings(max_examples=100)
+    @given(sigma=physical_states, psi=unit_vectors)
+    # against this rank-2 target the block is singular and its other eigenvalue
+    # is 0.0039, so the dust beside it is above 8 eps of it
+    @example(sigma=evolve(("I", "I", "H"), corrupted_input(0.984375), 1.0),
+             psi=circuit_unitary(("H", "H", "H"), 1.0)[:, 0])
+    def test_pure_state_gives_the_root_of_its_overlap_with_the_target(self, sigma, psi):
+        # fidelity is symmetric on physical states
+        assert_root_of_overlap(fidelity(np.outer(psi, psi.conj()), sigma), psi, sigma)
+
+    @settings(max_examples=100)
+    @given(a=factored_states, letters=st.tuples(*[st.sampled_from("IHX")] * 3),
+           x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           gamma=st.floats(0.0, np.pi / 2))
+    def test_rank_two_game_target_matches_its_known_decomposition(self, a, letters, x, gamma):
+        rho = a @ a.conj().T
+        value = fidelity(rho, evolve(letters, corrupted_input(x), gamma))
+        roots = oracle_game_target_roots(a, letters, x, gamma)
+        # each eigenvalue root**2 is computed to within the rounding, so its root is
+        # within the rounding over the root, or within the clamp rule's dust of 0
+        floor = linalg.DUST_RTOL + rounding(rho)
+        allowed = sum(np.sqrt(floor) if root**2 <= floor else rounding(rho) / root for root in roots)
+        assert abs(value - sum(roots)) <= allowed
+
     def test_orthogonal_states(self):
         assert fidelity(basis_density("000"), basis_density("111")) == pytest.approx(
             0.0, abs=1e-8
@@ -283,6 +362,12 @@ class TestFidelity:
         sigma = 0.99 * rho + 0.01 * basis_density("000")
         assert max_abs(rho - sigma) > 1e-3
         assert fidelity(rho, sigma) < 1.0 - 1e-8
+
+    def test_unphysical_target_rejected(self):
+        # the positivity rule, applied to the target's one eigendecomposition
+        with pytest.raises(ValueError) as info:
+            fidelity(basis_density("101"), load_reference_state("class7_appendix"))
+        assert str(info.value) == "density matrix has negative eigenvalue -1.083e+00"
 
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="3-qubit"):
