@@ -15,18 +15,15 @@ from .game import (
     decompose_entangler,
     entangler,
     evolve,
-    global_phase_distance,
     outcomes,
     parse_profile,
     payoff,
     play,
-    strategy_unitary,
 )
 from .linalg import (
     basis_density,
     basis_state,
     dagger,
-    herm_sqrt,
     kron,
     validate_density_matrix,
 )
@@ -60,8 +57,6 @@ __all__ = [
     "evolve",
     "expectations",
     "fidelity",
-    "global_phase_distance",
-    "herm_sqrt",
     "kron",
     "load_reference_state",
     "outcomes",
@@ -72,7 +67,6 @@ __all__ = [
     "quantum_ne_payoff",
     "reconstruct",
     "simulated_class_mean",
-    "strategy_unitary",
     "sweep",
     "theta_for_x",
     "validate_density_matrix",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import I2, H, X, dagger, kron3, max_abs
+from .linalg import I2, H, X, dagger, kron3
 
 #: Entanglement strength giving maximal correlation.
 DEFAULT_GAMMA = np.pi / 2
@@ -29,26 +29,19 @@ NEG_PROB_TOL = 1e-12
 PROB_SUM_TOL = 1e-10
 
 
-#: Each player's move as its 2x2 gate: ``"I"`` stays home, ``"X"`` goes to
-#: the party, ``"H"`` goes with half probability.
+#: Each player's move as its 2x2 gate: ``"I"`` stays home, ``"X"`` goes to the
+#: party, ``"H"`` goes with half probability.  Profile functions index it directly,
+#: so an unknown letter raises ``KeyError``; :func:`parse_profile` is the letter rule.
 GATES = {"I": I2, "H": H, "X": X}
 
 
 def parse_profile(text: str) -> tuple[str, str, str]:
     """Parse a profile string like ``"XIX"`` into upper-case letters; the leftmost is player 1."""
-    letters = text.upper()
-    # ASCII only: the dotless "ı" upper-cases to "I"
-    if not text.isascii() or len(letters) != 3 or any(c not in GATES for c in letters):
+    # ASCII text only: the dotless "ı" upper-cases to "I", and a tuple has no letters to parse
+    letters = text.upper() if isinstance(text, str) and text.isascii() else ""
+    if len(letters) != 3 or any(c not in GATES for c in letters):
         raise ValueError(f"profile must be three letters from I/H/X, got {text!r}")
     return tuple(letters)
-
-
-def strategy_unitary(letter: str) -> np.ndarray:
-    """The 2x2 gate a strategy letter applies to its player's qubit."""
-    try:
-        return GATES[letter]
-    except (KeyError, TypeError):
-        raise ValueError(f"not a strategy: {letter!r}") from None
 
 
 def rx(angle: float) -> np.ndarray:
@@ -146,7 +139,7 @@ def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler."""
     s1, s2, s3 = profile
     j = entangler(gamma)
-    return dagger(j) @ kron3(strategy_unitary(s1), strategy_unitary(s2), strategy_unitary(s3)) @ j
+    return dagger(j) @ kron3(GATES[s1], GATES[s2], GATES[s3]) @ j
 
 
 def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -205,17 +198,3 @@ def decompose_entangler():
         ("cnot q1->q0", cnot_1_0),
         ("cnot q1->q2", cnot_1_2),
     ]
-
-
-def global_phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance between ``a`` and ``c*b`` for the aligning unit phase ``c``.
-
-    ``c`` is the entry ratio at the largest-magnitude entry of ``b``,
-    normalized to unit modulus.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    k = int(np.argmax(np.abs(b)))
-    c = a.flat[k] / b.flat[k]
-    c = c / abs(c) if abs(c) > 0 else 1.0
-    return max_abs(a - c * b)

@@ -102,19 +102,6 @@ def clamp_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     return np.where(w > DUST_RTOL * scale, w, 0.0)
 
 
-def herm_sqrt(a: np.ndarray) -> np.ndarray:
-    """Positive-semidefinite square root of a Hermitian matrix.
-
-    Its eigenvalues are clamped by :func:`clamp_spectrum` before
-    square-rooting.
-    """
-    a = np.asarray(a)
-    if max_abs(a - dagger(a)) > TOL:
-        raise ValueError("herm_sqrt requires a Hermitian matrix")
-    w, v = np.linalg.eigh(a)
-    return (v * np.sqrt(clamp_spectrum(w, w[-1]))) @ dagger(v)
-
-
 def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     """Check the invariants of a 3-qubit density matrix and return it as a complex array.
 

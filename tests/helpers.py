@@ -59,6 +59,20 @@ def ordered_product(steps):
     return out
 
 
+def global_phase_distance(a, b):
+    """Max-norm distance between ``a`` and ``c*b`` for the aligning unit phase ``c``.
+
+    ``c`` is the entry ratio at the largest-magnitude entry of ``b``,
+    normalized to unit modulus.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    k = int(np.argmax(np.abs(b)))
+    c = a.flat[k] / b.flat[k]
+    c = c / abs(c) if abs(c) > 0 else 1.0
+    return float(np.abs(a - c * b).max())
+
+
 def oracle_circuit(letters, gamma):
     """Game unitary J† S J built from scratch with numpy only."""
     gates = {

@@ -21,7 +21,6 @@ from qdilemma.game import (
     PayoffTable,
     decompose_entangler,
     entangler,
-    global_phase_distance,
     play,
 )
 from qdilemma.linalg import basis_density, basis_state, max_abs
@@ -34,7 +33,12 @@ from qdilemma.tomography import (
     reconstruct,
 )
 
-from helpers import ordered_product, random_payoff_table, random_pure_density
+from helpers import (
+    global_phase_distance,
+    ordered_product,
+    random_payoff_table,
+    random_pure_density,
+)
 
 TABLE = PayoffTable()
 

@@ -19,8 +19,9 @@ from qdilemma.analysis import (
     simulated_class_mean,
     sweep,
 )
-from qdilemma.game import PayoffTable
-from qdilemma.noise import check_corruption
+from qdilemma.game import DEFAULT_GAMMA, PayoffTable, evolve, outcomes, payoff, play
+from qdilemma.noise import check_corruption, corrupted_input
+from qdilemma.tomography import fidelity
 
 from helpers import random_payoff_table
 
@@ -237,6 +238,41 @@ class TestDominance:
         assert report["x"] == 0.25
         assert report["quantum_ne_mean"] == pytest.approx(quantum_ne_payoff(TABLE, 0.25))
         assert report["classical_ne_mean"] == pytest.approx(classical_ne_payoff(TABLE, 0.25))
+
+
+PROFILES = st.sampled_from(list(product("IHX", repeat=3)))
+
+
+def corruption_delta(profile, gamma=DEFAULT_GAMMA):
+    """Mean payoff of the ``|111>`` row of ``outcomes`` minus that of its ``|000>`` row."""
+    pristine, flipped = outcomes(profile, gamma)
+    return payoff(flipped, TABLE).mean - payoff(pristine, TABLE).mean
+
+
+class TestFidelityAgainstPayoffError:
+    """Corruption x costs every class the same fidelity, sqrt(1 - x), but a payoff
+    error x·Δ with |Δ| from 2 to 12: fidelity cannot rank the classes by that error."""
+
+    @given(profile=PROFILES, gamma=st.floats(0.0, np.pi / 2), x=st.floats(0.0, 1.0))
+    def test_fidelity_to_the_pristine_state_is_root_one_minus_x(self, profile, gamma, x):
+        # the square, since the root is ill-conditioned near x = 1
+        f = fidelity(evolve(profile, corrupted_input(x), gamma), evolve(profile, None, gamma))
+        assert abs(f**2 - (1.0 - x)) <= 1e-14
+
+    @given(profile=PROFILES, gamma=st.floats(0.0, np.pi / 2), x=st.floats(0.0, 1.0))
+    def test_payoff_error_is_x_times_delta(self, profile, gamma, x):
+        error = (payoff(play(profile, x, gamma), TABLE).mean
+                 - payoff(play(profile, 0.0, gamma), TABLE).mean)
+        expected = x * corruption_delta(profile, gamma)
+        # relative where |x·Δ| >= 1; below, the bound must also cover the
+        # rounding of the two means, which is absolute (~1e-14 at these stakes)
+        assert abs(error - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    def test_delta_of_each_class(self):
+        deltas = {label: corruption_delta(m) for label, m in CLASS_MULTISETS.items()}
+        assert deltas == pytest.approx({"I": 8.5, "II": 8.5, "III": 5.0, "IV": -2.0, "V": 2.0,
+                                        "VI": 12.0, "VII": -12.0, "VIII": -12.0, "IX": -8.5,
+                                        "X": 5.0}, abs=1e-12)
 
 
 class TestSweep:

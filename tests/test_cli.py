@@ -105,6 +105,11 @@ class TestPlay:
         assert err.startswith("error:")
         assert err.count("\n") == 1
 
+    def test_lower_case_unknown_letter_gets_the_profile_rule(self, capsys):
+        code, out, err = run(capsys, "play", "xqx")
+        assert_one_error(code, out, err,
+                         "error: profile must be three letters from I/H/X, got 'xqx'\n")
+
     def test_invalid_table_fails(self, capsys):
         code, _, err = run(capsys, "play", "XXX", "--p", "5")
         assert code != 0

@@ -13,18 +13,16 @@ from qdilemma.game import (
     decompose_entangler,
     entangler,
     evolve,
-    global_phase_distance,
     outcomes,
     parse_profile,
     payoff,
     play,
     rx,
-    strategy_unitary,
 )
 from qdilemma.linalg import basis_density, basis_state, dagger, max_abs
 from qdilemma.noise import corrupted_input
 
-from helpers import oracle_game_probs, ordered_product
+from helpers import global_phase_distance, oracle_game_probs, ordered_product
 
 TABLE = PayoffTable()
 
@@ -59,25 +57,27 @@ class TestCheckGamma:
             check_gamma(gamma)
 
 
-class TestStrategyUnitary:
+class TestGates:
     def test_flip_matrix(self):
-        np.testing.assert_array_equal(strategy_unitary("X"), np.array([[0, 1], [1, 0]]))
+        np.testing.assert_array_equal(GATES["X"], np.array([[0, 1], [1, 0]]))
 
     def test_hadamard_matrix(self):
         np.testing.assert_allclose(
-            strategy_unitary("H"), np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
+            GATES["H"], np.array([[1, 1], [1, -1]]) / np.sqrt(2), atol=1e-15
         )
 
     def test_all_strategies_unitary(self):
         assert list(GATES) == ["I", "H", "X"]
-        for letter in GATES:
-            u = strategy_unitary(letter)
+        for u in GATES.values():
             np.testing.assert_allclose(u @ dagger(u), np.eye(2), atol=1e-12)
 
-    def test_unknown_kind_rejected(self):
-        for bad in ("Q", "Z", "U", "x", "XX", "", None, ["X"]):
-            with pytest.raises(ValueError, match="not a strategy"):
-                strategy_unitary(bad)
+    # parse_profile is the one letter rule; a tuple that bypasses it meets the table's KeyError
+    @pytest.mark.parametrize("function", [outcomes, play, evolve])
+    @pytest.mark.parametrize("profile", [("x", "I", "X"), ("I", "Q", "X"), ("I", "H", "Z")],
+                             ids=["lower-case", "Q", "Z"])
+    def test_unknown_letter_raises_key_error(self, function, profile):
+        with pytest.raises(KeyError):
+            function(profile)
 
 
 class TestPlay:
@@ -289,8 +289,9 @@ class TestParseProfile:
     def test_accepts_lowercase(self):
         assert parse_profile("xhi") == ("X", "H", "I")
 
-    # "ı".upper() is "I", but only ASCII text is a profile
-    @pytest.mark.parametrize("text", ["", "XX", "XXXX", "XYZ", "ABC", "1HX", "ıxx"])
+    # "ı".upper() is "I", but only ASCII text is a profile, and None or a tuple is no text
+    @pytest.mark.parametrize("text", ["", "XX", "XXXX", "XYZ", "ABC", "1HX", "ıxx", None,
+                                      pytest.param(("X", "I", "X"), id="tuple")])
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError, match="profile"):
             parse_profile(text)

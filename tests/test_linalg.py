@@ -2,15 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qdilemma import linalg
 from qdilemma.linalg import (
     ClampWarning,
     basis_density,
     basis_state,
+    check_spectrum,
+    clamp_spectrum,
     cnot,
     dagger,
-    herm_sqrt,
     kron,
     kron3,
     validate_density_matrix,
@@ -122,42 +125,61 @@ class TestDagger:
         np.testing.assert_allclose(dagger(j) @ j, np.eye(8), atol=1e-12)
 
 
-class TestHermSqrt:
-    def test_identity(self):
-        np.testing.assert_allclose(herm_sqrt(np.eye(4)), np.eye(4), atol=1e-14)
+class TestCheckSpectrum:
+    def test_slack_itself_passes(self):
+        check_spectrum(np.array([-linalg.PSD_SLACK, 1.0]))
 
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            herm_sqrt(np.diag([4.0, 9.0]).astype(complex)), np.diag([2.0, 3.0]), atol=1e-14
-        )
+    def test_next_float_below_the_slack_is_refused(self):
+        below = np.nextafter(-linalg.PSD_SLACK, -np.inf)
+        message = "^density matrix has negative eigenvalue -1.000e-10$"
+        with pytest.raises(ValueError, match=message):
+            check_spectrum(np.array([below, 1.0]))
 
-    def test_projector_idempotence(self):
-        proj = basis_density("101")
-        np.testing.assert_allclose(herm_sqrt(proj), proj, atol=1e-12)
 
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            herm_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_square_recovers_input(self, rng):
-        for _ in range(10):
-            rho = random_mixed_density(rng)
-            s = herm_sqrt(rho)
-            np.testing.assert_allclose(s @ s, rho, atol=1e-8)
-            np.testing.assert_allclose(s, dagger(s), atol=1e-12)
-
-    def test_square_recovers_clamped_input(self):
-        a = np.diag([1.0, -0.25]).astype(complex)
-        with pytest.warns(ClampWarning, match="2.5"):
-            s = herm_sqrt(a)
-        np.testing.assert_allclose(s @ s, np.diag([1.0, 0.0]), atol=1e-8)
+class TestClampSpectrum:
+    def test_clamp_beyond_the_slack_warns_with_its_magnitude(self):
+        message = "^clamped negative eigenvalue of magnitude 2.500e-01 to zero$"
+        with pytest.warns(ClampWarning, match=message):
+            w = clamp_spectrum(np.array([-0.25, 1.0]), 1.0)
+        np.testing.assert_array_equal(w, [0.0, 1.0])
 
     def test_small_negatives_clamped_silently(self):
-        a = np.diag([1.0, -5e-11]).astype(complex)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            s = herm_sqrt(a)
-        np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
+            w = clamp_spectrum(np.array([-5e-11, 1.0]), 1.0)
+        np.testing.assert_array_equal(w, [0.0, 1.0])
+
+    def test_warning_starts_below_the_slack(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clamp_spectrum(np.array([-linalg.PSD_SLACK, 1.0]), 1.0)
+        with pytest.warns(ClampWarning, match="magnitude 1.000e-10 "):
+            clamp_spectrum(np.array([np.nextafter(-linalg.PSD_SLACK, -np.inf), 1.0]), 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 7.0])
+    def test_dust_floor_is_zeroed_and_the_next_float_kept(self, scale):
+        # the comparison is strict: an eigenvalue equal to the floor is dust
+        floor = linalg.DUST_RTOL * scale
+        above = np.nextafter(floor, np.inf)
+        np.testing.assert_array_equal(
+            clamp_spectrum(np.array([floor, above, scale]), scale), [0.0, above, scale])
+
+    def test_scale_argument_sets_the_floor(self):
+        # 1e-14 is above 8 eps of the array's own maximum 1, but dust at scale 100
+        w = np.array([1e-14, 1.0])
+        np.testing.assert_array_equal(clamp_spectrum(w, 1.0), w)
+        np.testing.assert_array_equal(clamp_spectrum(w, 100.0), [0.0, 1.0])
+
+    @given(w=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8).map(sorted),
+           scale=st.floats(1e-3, 1e3))
+    def test_output_non_negative_and_unchanged_above_the_floor(self, w, scale):
+        w = np.array(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ClampWarning)
+            out = clamp_spectrum(w, scale)
+        assert (out >= 0.0).all()
+        kept = w > linalg.DUST_RTOL * scale
+        np.testing.assert_array_equal(out[kept], w[kept])
 
 
 class TestValidateDensityMatrix:
