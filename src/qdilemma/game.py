@@ -136,10 +136,21 @@ class PayoffVector:
 
 
 def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler."""
+    """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler.
+
+    ``J = cI + isR`` has two terms, with ``R = X⊗X⊗X`` the reversal of the
+    basis index, so ``J†S = cS - isRS`` reverses the rows of ``S`` and
+    ``(J†S)J = c(J†S) + is(J†S)R`` its columns; no 8x8 product is taken.
+    Each entry sums the same two products as the matrix products do, whose
+    other terms are zeros; adding 0.0 turns the -0 that H's kron leaves in
+    ``S`` at ``s = 0`` into the +0 that a product's sum ends in.
+    """
     s1, s2, s3 = profile
-    j = entangler(gamma)
-    return dagger(j) @ kron3(GATES[s1], GATES[s2], GATES[s3]) @ j
+    gamma = check_gamma(gamma)
+    c, s = np.cos(gamma / 2), np.sin(gamma / 2)
+    strategies = kron3(GATES[s1], GATES[s2], GATES[s3])
+    left = c * strategies - 1j * s * strategies[::-1]
+    return left * c + left[:, ::-1] * (1j * s) + 0.0
 
 
 def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

@@ -102,6 +102,12 @@ def clamp_spectrum(w: np.ndarray, scale: float) -> np.ndarray:
     return np.where(w > DUST_RTOL * scale, w, 0.0)
 
 
+def _check_finite(rho: np.ndarray) -> None:
+    """Raise the density-matrix check's error for a NaN or infinite entry."""
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has non-finite entries")
+
+
 def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     """Check the invariants of a 3-qubit density matrix and return it as a complex array.
 
@@ -110,11 +116,16 @@ def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     states such as linear-inversion tomography output.
     """
     rho = np.asarray(rho, dtype=complex)
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has non-finite entries")
     if rho.shape != (8, 8):
+        _check_finite(rho)
         raise ValueError(f"expected a 3-qubit (8x8) density matrix, got shape {rho.shape}")
-    if max_abs(rho - dagger(rho)) > TOL:
+    # A non-finite entry makes the residual NaN or infinite, which fails the
+    # comparison, so finiteness is tested only to name the failure.  Numpy is
+    # not to warn of the NaN or overflow met on the way: the check reports it.
+    with np.errstate(invalid="ignore", over="ignore"):
+        residual = max_abs(rho - dagger(rho))
+    if not residual <= TOL:
+        _check_finite(rho)
         raise ValueError("density matrix is not Hermitian")
     trace = rho.trace()
     if abs(trace - 1.0) > TOL:

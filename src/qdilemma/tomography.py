@@ -5,6 +5,10 @@ of the 64 Pauli strings.  With the strings flattened into the rows of one
 64x64 matrix ``P``, the forward map is ``t = Re(conj(P) @ vec(rho))`` and linear
 inversion is ``vec(rho) = t @ P / 8``; the one inverts the other because
 ``conj(P) @ P.T == 8 I`` holds exactly (every entry of ``P`` is 0, ±1 or ±i).
+Both maps are real products with the float view of ``P``, whose rows
+interleave real and imaginary parts: ``Re(conj(p)·r) = p_re·r_re +
+p_im·r_im`` is one row of it against the interleaved parts of ``r``, and
+the real ``t`` times it gives the interleaved parts of ``t @ P``.
 Inversion of noisy data can produce "raw" matrices (Hermitian, unit trace,
 but not positive); those are accepted wherever it is meaningful, in
 particular by :func:`fidelity`.
@@ -13,6 +17,7 @@ particular by :func:`fidelity`.
 from __future__ import annotations
 
 import operator
+import threading
 from importlib import resources
 from itertools import product
 
@@ -23,6 +28,11 @@ from .linalg import (PAULIS, TOL, check_spectrum, clamp_spectrum, dagger, kron3,
 
 #: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k, flattened into rows in row-major (i, j, k) order.
 _PAULI = np.stack([kron3(a, b, c).ravel() for a, b, c in product(PAULIS, repeat=3)])
+#: Its float view: each row holds a string's real and imaginary parts, interleaved.
+_PAULI_PARTS = _PAULI.view(float)
+
+#: Per-thread state of the estimator: its one Philox bit generator, re-keyed per call.
+_THREAD = threading.local()
 
 
 def expectations(rho: np.ndarray) -> np.ndarray:
@@ -37,8 +47,9 @@ def expectations(rho: np.ndarray) -> np.ndarray:
 
 def _expectations(rho: np.ndarray) -> np.ndarray:
     """:func:`expectations` of a state that has already been validated."""
-    # tr(rho s) = sum_ab rho[a, b] s[b, a], and s[b, a] = conj(s[a, b]) for a Hermitian s
-    return (_PAULI.conj() @ rho.ravel()).real.reshape(4, 4, 4)
+    # tr(rho s) = sum_ab rho[a, b] s[b, a], and s[b, a] = conj(s[a, b]) for a Hermitian s;
+    # the real part of that sum is the product of the interleaved parts
+    return (_PAULI_PARTS @ rho.ravel().view(float)).reshape(4, 4, 4)
 
 
 def reconstruct(t: np.ndarray) -> np.ndarray:
@@ -54,7 +65,7 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
         raise ValueError("expectation tensor has non-finite entries")
     if abs(t[0, 0, 0] - 1.0) > TOL:
         raise ValueError(f"t[0,0,0] = {float(t[0, 0, 0])!r} must be 1 (unit trace)")
-    return (t.ravel() @ _PAULI / 8.0).reshape(8, 8)
+    return (t.ravel() @ _PAULI_PARTS / 8.0).view(complex).reshape(8, 8)
 
 
 def check_shots(shots: int) -> int:
@@ -77,13 +88,36 @@ def estimate_expectations(rho: np.ndarray, shots: int, seed: int = 0) -> np.ndar
     """
     rho = validate_density_matrix(rho)
     shots = check_shots(shots)
-    p_plus = np.clip((1.0 + _expectations(rho).ravel()) / 2.0, 0.0, 1.0)
-    key = np.array([operator.index(seed) % 2**64, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    # clipped to [0, 1] by two ufuncs, without np.clip's dispatch
+    p_plus = np.minimum(np.maximum((1.0 + _expectations(rho).ravel()) / 2.0, 0.0), 1.0)
+    rng = np.random.Generator(_keyed_philox(operator.index(seed) % 2**64))
     t = np.empty(64)
     t[0] = 1.0
     t[1:] = (2.0 * rng.binomial(shots, p_plus[1:]) - shots) / shots
     return t.reshape(4, 4, 4)
+
+
+def _keyed_philox(key: int) -> np.random.Philox:
+    """This thread's Philox bit generator, set to the start of the stream keyed ``[key, 0]``.
+
+    The state setter gives it the key, counter 0 and an empty buffer, which
+    is the state ``Philox(key=[key, 0])`` starts in, without the OS entropy
+    that constructor draws for a seed sequence the key then overrides.  One
+    generator per thread, because a re-key and the draws after it are not
+    atomic.
+    """
+    try:
+        bitgen = _THREAD.philox
+    except AttributeError:
+        bitgen = _THREAD.philox = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([key, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
+    return bitgen
 
 
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -123,9 +157,8 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     """
     rho = validate_density_matrix(rho, raw=True)
     w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ dagger(v)
-    return out / np.trace(out).real
+    out = (v * np.maximum(w, 0.0)) @ dagger(v)
+    return out / out.trace().real
 
 
 #: Names of the bundled reconstructed states.

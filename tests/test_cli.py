@@ -70,11 +70,12 @@ def assert_one_error(code, out, err, match):
     assert match in err
 
 
-def write_matrix_with_nan(path):
+def write_matrix_with_entry(path, entry="nan", at=(0, 1)):
+    """The maximally mixed state in the text format, with one real part replaced by ``entry``."""
     real = [["0"] * 8 for _ in range(8)]
     for k in range(8):
         real[k][k] = "0.125"
-    real[0][1] = "nan"
+    real[at[0]][at[1]] = entry
     lines = [" ".join(row) for row in real] + [""] + [" ".join(["0"] * 8)] * 8
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(path)
@@ -450,14 +451,23 @@ class TestNonFiniteInputs:
         assert_one_error(code, out, err, "finite")
 
     def test_forward_of_nan_matrix_fails(self, capsys, tmp_path):
-        path = write_matrix_with_nan(tmp_path / "nan.txt")
+        path = write_matrix_with_entry(tmp_path / "nan.txt")
         code, out, err = run(capsys, "tomo", "forward", path)
         assert_one_error(code, out, err, "non-finite")
 
     def test_fidelity_of_nan_matrix_fails(self, capsys, tmp_path):
-        path = write_matrix_with_nan(tmp_path / "nan.txt")
+        path = write_matrix_with_entry(tmp_path / "nan.txt")
         code, out, err = run(capsys, "tomo", "fidelity", path, "101")
         assert_one_error(code, out, err, "non-finite")
+
+    @pytest.mark.parametrize("entry", ["inf", "-inf"])
+    def test_forward_of_infinite_diagonal_fails_without_a_warning(self, capsys, tmp_path, entry):
+        # an infinite diagonal entry makes the Hermiticity residual inf - inf
+        path = write_matrix_with_entry(tmp_path / "inf.txt", entry, at=(0, 0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "tomo", "forward", path)
+        assert_one_error(code, out, err, "density matrix has non-finite entries")
 
     def test_reconstruct_of_nan_tensor_fails(self, capsys, tmp_path):
         t = np.zeros((4, 4, 4))

@@ -10,6 +10,7 @@ from qdilemma.game import (
     PayoffTable,
     PayoffVector,
     check_gamma,
+    circuit_unitary,
     decompose_entangler,
     entangler,
     evolve,
@@ -19,10 +20,10 @@ from qdilemma.game import (
     play,
     rx,
 )
-from qdilemma.linalg import basis_density, basis_state, dagger, max_abs
+from qdilemma.linalg import basis_density, basis_state, dagger, kron3, max_abs
 from qdilemma.noise import corrupted_input
 
-from helpers import global_phase_distance, oracle_game_probs, ordered_product
+from helpers import global_phase_distance, oracle_circuit, oracle_game_probs, ordered_product
 
 TABLE = PayoffTable()
 
@@ -43,6 +44,25 @@ class TestEntangler:
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
             entangler(np.pi)
+
+
+class TestCircuitUnitary:
+    @given(gamma=st.floats(0.0, np.pi / 2))
+    def test_matches_the_oracle_for_every_profile(self, gamma):
+        for letters in product("IHX", repeat=3):
+            assert max_abs(circuit_unitary(letters, gamma) - oracle_circuit(letters, gamma)) <= 1e-15
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 1.0, np.pi / 2])
+    def test_equals_the_two_matrix_products_bit_for_bit(self, gamma):
+        # zeros included: at gamma 0 the products sum H's -0 entries onto +0
+        j = entangler(gamma)
+        for letters in product("IHX", repeat=3):
+            products = dagger(j) @ kron3(*(GATES[c] for c in letters)) @ j
+            assert circuit_unitary(letters, gamma).tobytes() == products.tobytes()
+
+    def test_gamma_out_of_range(self):
+        with pytest.raises(ValueError, match="gamma"):
+            circuit_unitary(("H", "I", "X"), np.pi)
 
 
 class TestCheckGamma:

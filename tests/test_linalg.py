@@ -222,6 +222,30 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="non-finite"):
             validate_density_matrix(rho, raw=True)
 
+    @pytest.mark.parametrize("dim", [8, 4], ids=["8x8", "4x4"])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "hermitian-pair"])
+    @pytest.mark.parametrize("part", [1, 1j], ids=["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_non_finite_is_named_before_any_other_failure(self, dim, where, part, value):
+        # the same message whichever check the entry makes fail first: the shape
+        # check (4x4), or the Hermiticity check, whose residual it makes non-finite
+        rho = np.eye(dim, dtype=complex) / dim
+        if where == "diagonal":
+            rho[1, 1] = value * part
+        else:
+            rho[0, 1] = value * part
+            if where == "hermitian-pair":
+                rho[1, 0] = np.conj(rho[0, 1])
+        for raw in (False, True):
+            with pytest.raises(ValueError, match=r"^density matrix has non-finite entries$"):
+                validate_density_matrix(rho, raw=raw)
+
+    def test_finite_entries_whose_residual_overflows_are_not_hermitian(self):
+        rho = basis_density("000")
+        rho[0, 1], rho[1, 0] = 1e308, -1e308
+        with pytest.raises(ValueError, match=r"^density matrix is not Hermitian$"):
+            validate_density_matrix(rho, raw=True)
+
 
 class TestBasisStates:
     def test_101_is_index_5(self):

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,17 +17,27 @@ from qdilemma.noise import corrupted_input
 from helpers import subprocess_env
 
 
-def test_one_bit_generator_per_estimate(monkeypatch):
-    built = []
+def test_no_bit_generator_built_per_estimate_after_a_threads_first(monkeypatch):
+    rho = evolve(parse_profile("HIX"))
+    built, after_each = [], []
     philox = np.random.Philox
 
     def counting(*args, **kwargs):
         built.append(1)
         return philox(*args, **kwargs)
 
+    def estimates():
+        for seed in (7, 8, 7):
+            tomography.estimate_expectations(rho, 8192, seed)
+            after_each.append(len(built))
+
     monkeypatch.setattr(np.random, "Philox", counting)
-    tomography.estimate_expectations(evolve(parse_profile("HIX")), 8192, 7)
-    assert len(built) == 1
+    # a new thread, so that its first estimate is seen
+    thread = threading.Thread(target=estimates)
+    thread.start()
+    thread.join()
+    # the first estimate builds the thread's generator, and later ones re-key it
+    assert after_each == [1, 1, 1]
 
 
 def test_one_binomial_call_per_estimate(monkeypatch):

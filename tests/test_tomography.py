@@ -1,5 +1,7 @@
 import hashlib
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
 
@@ -203,6 +205,25 @@ class TestSeededStream:
         t = estimate_expectations(evolve(parse_profile("HIX")), 8192, 42)
         assert hashlib.sha256(t.tobytes()).hexdigest() == (
             "30bde954af47c64e7caba7fb490707279e0852afeb94716fcecb15ccdd537357")
+
+    def test_threads_with_interleaved_seeds_each_draw_the_one_stream(self):
+        # each thread re-keys its own generator per call, so estimates that run
+        # at once from several threads cannot take each other's draws
+        rho = evolve(parse_profile("HIX"), corrupted_input(0.3), 0.7)
+        calls = [(shots, seed) for shots in (7, 8192, 10**6)
+                 for seed in (0, -1, 42, 2**63, 2**64 + 5)]
+        expected = {call: one_stream_estimate(rho, *call).tobytes() for call in calls}
+        start = threading.Barrier(4)
+
+        def worker(offset):
+            start.wait()
+            return [(call, estimate_expectations(rho, *call).tobytes())
+                    for _ in range(20) for call in calls[offset:] + calls[:offset]]
+
+        with ThreadPoolExecutor(4) as pool:
+            results = [pair for part in pool.map(worker, range(4)) for pair in part]
+        assert len(results) == 4 * 20 * len(calls)
+        assert all(got == expected[call] for call, got in results)
 
     def test_negative_seed_is_its_own_stream(self):
         rho = evolve(parse_profile("HIX"))
