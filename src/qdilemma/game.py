@@ -8,6 +8,7 @@ computational basis.  Outcome bit 1 means "go to the party"; the stakes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,14 @@ class PayoffVector:
         return math.ldexp(total / 3, e)
 
 
+@functools.cache
+def _strategy_product(s1: str, s2: str, s3: str) -> np.ndarray:
+    """The players' kron product ``S1 ⊗ S2 ⊗ S3``, built once per profile and read-only."""
+    strategies = kron3(GATES[s1], GATES[s2], GATES[s3])
+    strategies.flags.writeable = False
+    return strategies
+
+
 def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler.
 
@@ -143,12 +152,13 @@ def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     ``(J†S)J = c(J†S) + is(J†S)R`` its columns; no 8x8 product is taken.
     Each entry sums the same two products as the matrix products do, whose
     other terms are zeros; adding 0.0 turns the -0 that H's kron leaves in
-    ``S`` at ``s = 0`` into the +0 that a product's sum ends in.
+    ``S`` at ``s = 0`` into the +0 that a product's sum ends in.  ``S`` is
+    built once per profile and shared, read-only, by later calls.
     """
     s1, s2, s3 = profile
     gamma = check_gamma(gamma)
     c, s = np.cos(gamma / 2), np.sin(gamma / 2)
-    strategies = kron3(GATES[s1], GATES[s2], GATES[s3])
+    strategies = _strategy_product(s1, s2, s3)
     left = c * strategies - 1j * s * strategies[::-1]
     return left * c + left[:, ::-1] * (1j * s) + 0.0
 

@@ -122,13 +122,15 @@ def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     # A non-finite entry makes the residual NaN or infinite, which fails the
     # comparison, so finiteness is tested only to name the failure.  Numpy is
     # not to warn of the NaN or overflow met on the way: the check reports it.
+    # A finite diagonal can still sum to inf - inf, so the trace is compared
+    # the same way, and a NaN trace fails too.
     with np.errstate(invalid="ignore", over="ignore"):
         residual = max_abs(rho - dagger(rho))
+        trace = rho.trace()
     if not residual <= TOL:
         _check_finite(rho)
         raise ValueError("density matrix is not Hermitian")
-    trace = rho.trace()
-    if abs(trace - 1.0) > TOL:
+    if not abs(trace - 1.0) <= TOL:
         raise ValueError(f"density matrix trace {trace.real:.15g} is not 1")
     if not raw:
         check_spectrum(np.linalg.eigvalsh(rho))

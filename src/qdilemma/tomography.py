@@ -16,6 +16,7 @@ particular by :func:`fidelity`.
 
 from __future__ import annotations
 
+import math
 import operator
 import threading
 from importlib import resources
@@ -30,6 +31,8 @@ from .linalg import (PAULIS, TOL, check_spectrum, clamp_spectrum, dagger, kron3,
 _PAULI = np.stack([kron3(a, b, c).ravel() for a, b, c in product(PAULIS, repeat=3)])
 #: Its float view: each row holds a string's real and imaginary parts, interleaved.
 _PAULI_PARTS = _PAULI.view(float)
+#: The inverse map's matrix, that view over 8: every entry is 0 or ±1/8, so it is exact.
+_PAULI_INVERSE = _PAULI_PARTS / 8.0
 
 #: Per-thread state of the estimator: its one Philox bit generator, re-keyed per call.
 _THREAD = threading.local()
@@ -61,11 +64,11 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.shape != (4, 4, 4):
         raise ValueError(f"expectation tensor must be 4x4x4, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("expectation tensor has non-finite entries")
     if abs(t[0, 0, 0] - 1.0) > TOL:
         raise ValueError(f"t[0,0,0] = {float(t[0, 0, 0])!r} must be 1 (unit trace)")
-    return (t.ravel() @ _PAULI_PARTS / 8.0).view(complex).reshape(8, 8)
+    return (t.ravel() @ _PAULI_INVERSE).view(complex).reshape(8, 8)
 
 
 def check_shots(shots: int) -> int:
@@ -110,11 +113,11 @@ def _keyed_philox(key: int) -> np.random.Philox:
         bitgen = _THREAD.philox
     except AttributeError:
         bitgen = _THREAD.philox = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    # the setter copies the words one by one, so plain ints serve as well as arrays
     bitgen.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([key, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "state": {"counter": (0, 0, 0, 0), "key": (key, 0)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
     }
     return bitgen
@@ -129,6 +132,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     the columns of ``V sqrt(D)`` whose eigenvalue is nonzero after the clamp
     rule, the fidelity is the sum of the roots of the eigenvalues of the
     r x r block ``u† rho u``, r the rank of ``sigma``.  ``rho`` may be raw.
+    A game target has rank at most 2 and a basis target rank 1, and such a
+    block's eigenvalues are taken in closed form, with no second
+    eigensolver: within 8 eps times the block's norm of the exact ones of its
+    Hermitian part, and of a 1x1 block bit for bit what ``eigvalsh`` gives.
     The block's eigenvalues are clamped by
     :func:`~qdilemma.linalg.clamp_spectrum` (with a warning beyond rounding
     slack) at the scale of ``sigma``'s largest eigenvalue, whose rounding the
@@ -141,9 +148,35 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     check_spectrum(w)
     w = clamp_spectrum(w, w[-1])
     u = (v * np.sqrt(w))[:, w > 0.0]
-    block = dagger(u) @ rho @ u
-    block = (block + dagger(block)) / 2
-    return float(np.sqrt(clamp_spectrum(np.linalg.eigvalsh(block), w[-1])).sum())
+    spectrum = _block_spectrum(dagger(u) @ rho @ u)
+    return float(np.sqrt(clamp_spectrum(spectrum, w[-1])).sum())
+
+
+def _block_spectrum(block: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of a square ``block``.
+
+    A 1x1 block's eigenvalue is its real part, and a 2x2 block's,
+    ``m ± hypot((a - c)/2, |b|)`` with ``m = (a + c)/2``, are taken in
+    closed form: the one whose two terms share a sign as written, and the
+    other as the determinant ``ac - |b|²`` over it rather than as a
+    difference that cancels.  That quotient scales each entry by a ratio of
+    magnitude at most 1, so it cannot overflow.  A larger block goes
+    through ``eigvalsh``.
+    """
+    if len(block) == 1:
+        return block.real.ravel()
+    if len(block) == 2:
+        (a, b), (b_t, c) = block.tolist()
+        a, c, b = a.real, c.real, abs((b + b_t.conjugate()) / 2)
+        mean, radius = a / 2 + c / 2, math.hypot(a / 2 - c / 2, b)
+        if mean >= 0.0:
+            high = mean + radius
+            low = a / high * c - b / high * b if high else 0.0
+        else:
+            low = mean - radius
+            high = a / low * c - b / low * b
+        return np.array([low, high])
+    return np.linalg.eigvalsh((block + dagger(block)) / 2)
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ from hypothesis import settings
 
 # no property test has a per-example deadline: its timing depends on the
 # machine and its load, not on the code under test
-settings.register_profile("qdilemma", deadline=None)
+settings.register_profile("qdilemma", deadline=None, print_blob=True)
 settings.load_profile("qdilemma")
 
 

@@ -1,5 +1,6 @@
 """Shared random-state builders for the test suite."""
 
+import decimal
 import os
 
 import numpy as np
@@ -121,3 +122,20 @@ def oracle_game_target_roots(a, letters, x, gamma):
     product = np.sqrt(np.sum(np.abs(np.triu(minors, 1)) ** 2))
     largest = np.sqrt((p + q) / 2 + np.hypot((p - q) / 2, b))
     return float(largest), float(product / largest) if largest else 0.0
+
+
+def oracle_block_spectrum(block):
+    """Eigenvalues of the Hermitian part of a 2x2 block, ascending, each rounded once.
+
+    The parts of the Hermitian part's entries are floats, so exact as
+    decimals; the roots ``m ± sqrt(((a - c)/2)² + |b|²)`` of its
+    characteristic polynomial are taken at 60 significant digits.
+    """
+    h = (block + block.conj().T) / 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a, c, b_re, b_im = (decimal.Decimal(float(v)) for v in
+                            (h[0, 0].real, h[1, 1].real, h[0, 1].real, h[0, 1].imag))
+        mean = (a + c) / 2
+        radius = (((a - c) / 2) ** 2 + b_re**2 + b_im**2).sqrt()
+        return np.array([float(mean - radius), float(mean + radius)])

@@ -469,6 +469,17 @@ class TestNonFiniteInputs:
             code, out, err = run(capsys, "tomo", "forward", path)
         assert_one_error(code, out, err, "density matrix has non-finite entries")
 
+    def test_forward_of_a_diagonal_whose_trace_is_nan_fails(self, capsys, tmp_path):
+        # finite entries, whose pairwise sum is inf + -inf
+        diagonal = ["1e308", "1e308", "-1e308", "-1e308"] * 2
+        real = [" ".join(entry if j == k else "0" for j in range(8)) for k, entry in enumerate(diagonal)]
+        path = tmp_path / "huge.txt"
+        path.write_text("\n".join(real + [""] + [" ".join(["0"] * 8)] * 8) + "\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "tomo", "forward", str(path))
+        assert_one_error(code, out, err, f"STATE {path}: density matrix trace nan is not 1")
+
     def test_reconstruct_of_nan_tensor_fails(self, capsys, tmp_path):
         t = np.zeros((4, 4, 4))
         t[0, 0, 0] = 1.0

@@ -64,6 +64,13 @@ class TestCircuitUnitary:
         with pytest.raises(ValueError, match="gamma"):
             circuit_unitary(("H", "I", "X"), np.pi)
 
+    def test_a_changed_circuit_leaves_the_next_one_as_it_was(self):
+        # the strategy product is shared between calls, and each circuit is new
+        circuit = circuit_unitary(("H", "I", "X"), 0.7)
+        expected = circuit.tobytes()
+        circuit[:] = 0.0
+        assert circuit_unitary(("H", "I", "X"), 0.7).tobytes() == expected
+
 
 class TestCheckGamma:
     @pytest.mark.parametrize("gamma", [0, 1, np.float64(0.5), np.pi / 2])
@@ -96,8 +103,10 @@ class TestGates:
     @pytest.mark.parametrize("profile", [("x", "I", "X"), ("I", "Q", "X"), ("I", "H", "Z")],
                              ids=["lower-case", "Q", "Z"])
     def test_unknown_letter_raises_key_error(self, function, profile):
-        with pytest.raises(KeyError):
-            function(profile)
+        # twice, as a failed build is not kept
+        for _ in range(2):
+            with pytest.raises(KeyError):
+                function(profile)
 
 
 class TestPlay:

@@ -246,6 +246,16 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match=r"^density matrix is not Hermitian$"):
             validate_density_matrix(rho, raw=True)
 
+    @pytest.mark.parametrize("diagonal, trace", [
+        ([1e308, 1e308, -1e308, -1e308] * 2, "nan"),
+        ([1e308] * 8, "inf"),
+    ])
+    def test_finite_diagonal_whose_trace_overflows_is_refused(self, diagonal, trace):
+        # summed pairwise, the first is inf + -inf, a NaN that no comparison with 1 passes;
+        # the overflow on the way raises no warning
+        with pytest.raises(ValueError, match=rf"^density matrix trace {trace} is not 1$"):
+            validate_density_matrix(np.diag(diagonal), raw=True)
+
 
 class TestBasisStates:
     def test_101_is_index_5(self):

@@ -74,10 +74,9 @@ def test_each_state_checked_once_per_public_call(monkeypatch, call, checks):
 
 
 def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
-    # a raw reconstruction against a rank-2 game target, as in repeated tomography
+    # a raw reconstruction, as in repeated tomography
     state = tomography.reconstruct(tomography.estimate_expectations(
         evolve(parse_profile("HIX"), corrupted_input(0.3)), 8192, 7))
-    target = evolve(parse_profile("XIX"), corrupted_input(0.3))
     shapes = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
@@ -87,9 +86,33 @@ def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
-    tomography.fidelity(state, target)
-    # one 8x8 eigendecomposition of the target, then the 2x2 block on its support
-    assert shapes == [(8, 8), (2, 2)]
+    # a rank-2 game target and a basis target: one 8x8 eigendecomposition of
+    # the target, and the block on its support, of size its rank, in closed form
+    for target in (evolve(parse_profile("XIX"), corrupted_input(0.3)), linalg.basis_density("101")):
+        shapes.clear()
+        tomography.fidelity(state, target)
+        assert shapes == [(8, 8)]
+
+
+def test_no_kron_for_a_profile_already_built(monkeypatch):
+    game.circuit_unitary(parse_profile("HIX"), 0.7)
+    calls = []
+    kron = linalg.kron
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "kron", counting)
+    for gamma in (0.0, 0.7, np.pi / 2):
+        game.circuit_unitary(parse_profile("HIX"), gamma)
+        game.evolve(parse_profile("HIX"), corrupted_input(0.3), gamma)
+    # the strategy product is built once per profile
+    assert calls == []
+    # the count sees a profile built for the first time
+    game._strategy_product.cache_clear()
+    game.circuit_unitary(parse_profile("HIX"))
+    assert len(calls) == 2
 
 
 def test_no_np_kron_on_import_or_evolve():

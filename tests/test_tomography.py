@@ -16,6 +16,7 @@ from qdilemma.linalg import basis_density, dagger, max_abs, validate_density_mat
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
     _PAULI,
+    _block_spectrum,
     check_shots,
     estimate_expectations,
     expectations,
@@ -29,6 +30,7 @@ from qdilemma.tomography import (
 
 from helpers import (
     crandn,
+    oracle_block_spectrum,
     oracle_game_factor,
     oracle_game_target_roots,
     random_mixed_density,
@@ -240,14 +242,18 @@ class TestSeededStream:
 #: Probability that any of the 63 estimates leaves the Hoeffding bound below.
 HOEFFDING_DELTA = 1e-9
 
+#: A game state: one of the 27 profiles on the corrupted input, of rank 2
+#: inside (0, 1) and 1 at its ends.
+game_states = st.builds(lambda letters, x, gamma: evolve(letters, corrupted_input(x), gamma),
+                        st.tuples(*[st.sampled_from("IHX")] * 3),
+                        st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2))
+
 #: A physical state: a random mixed or pure state, or a game state, which
 #: reaches expectations near but not on ±1 at small gamma and corruption.
 physical_states = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda s: random_mixed_density(np.random.default_rng(s))),
     st.integers(0, 2**32 - 1).map(lambda s: random_pure_density(np.random.default_rng(s))),
-    st.builds(lambda letters, x, gamma: evolve(letters, corrupted_input(x), gamma),
-              st.tuples(*[st.sampled_from("IHX")] * 3),
-              st.floats(0.0, 1.0), st.floats(0.0, np.pi / 2)),
+    game_states,
 )
 
 
@@ -255,10 +261,16 @@ physical_states = st.one_of(
 raw_states = st.builds(lambda rho, shots, seed: reconstruct(estimate_expectations(rho, shots, seed)),
                        physical_states, st.integers(1, 10**4), st.integers(0, 2**32 - 1))
 
+
+def unit_vector(rng):
+    """A random unit vector, drawn as :func:`random_pure_density` draws its state."""
+    psi = crandn(8, rng)
+    return psi / np.linalg.norm(psi)
+
+
 #: A unit vector: a random one, or the pure game state on the pristine input.
 unit_vectors = st.one_of(
-    st.integers(0, 2**32 - 1).map(lambda s: crandn(8, np.random.default_rng(s)))
-    .map(lambda psi: psi / np.linalg.norm(psi)),
+    st.integers(0, 2**32 - 1).map(lambda s: unit_vector(np.random.default_rng(s))),
     st.builds(lambda letters, gamma: circuit_unitary(letters, gamma)[:, 0],
               st.tuples(*[st.sampled_from("IHX")] * 3), st.floats(0.0, np.pi / 2)),
 )
@@ -278,15 +290,40 @@ def rounding(rho):
     return 8 * np.finfo(float).eps * max(1.0, np.linalg.norm(np.abs(rho), 2))
 
 
-def assert_root_of_overlap(value, psi, rho):
-    """``value`` is ``sqrt(max(0, <psi|rho|psi>))`` to rounding."""
+def support_block(rho, target):
+    """The block ``u† rho u`` on the target's support that :func:`fidelity` forms, and its scale."""
+    w, v = np.linalg.eigh(target)
+    w = linalg.clamp_spectrum(w, w[-1])
+    u = (v * np.sqrt(w))[:, w > 0.0]
+    return u.conj().T @ rho @ u, w[-1]
+
+
+def decomposition_error(rho, target):
+    """How far the target as :func:`fidelity` decomposes it moves ``tr(rho target)``.
+
+    With ``target ≈ V W V†`` as ``eigh`` returns it, ``fidelity`` works on
+    ``T = V clamp(W) V†``.  When ``rho`` or ``T`` has rank 1, the block's one
+    eigenvalue (or its trace) is ``tr(rho T)``, which differs from
+    ``tr(rho target)`` by at most ``‖rho‖₁ ‖T - target‖₂``.  The second factor
+    is the rounding of the target's eigenpairs, measured here rather than
+    assumed: it reaches 8.0 eps for the pure state of ``default_rng(713272268)``,
+    whose eigenvalue 1 comes out 3.5 eps low and its eigenvector's squared
+    norm 4 eps low.
+    """
+    w, v = np.linalg.eigh(target)
+    kept = (v * linalg.clamp_spectrum(w, w[-1])) @ v.conj().T
+    return np.abs(np.linalg.eigvalsh(rho)).sum() * np.linalg.norm(kept - target, 2)
+
+
+def assert_root_of_overlap(value, psi, rho, slack):
+    """``value`` is ``sqrt(max(0, <psi|rho|psi>))`` to rounding, plus ``slack`` on the square."""
     overlap = (psi.conj() @ rho @ psi).real
     if value == 0.0:
         # a negative overlap, or one that the clamp rule zeroes as dust
-        assert overlap <= linalg.DUST_RTOL + rounding(rho)
+        assert overlap <= linalg.DUST_RTOL + rounding(rho) + slack
     else:
         # the squares, as near 0 the root's slope magnifies the overlap's rounding
-        assert abs(value**2 - overlap) <= rounding(rho)
+        assert abs(value**2 - overlap) <= rounding(rho) + slack
 
 
 class TestShotDistribution:
@@ -327,10 +364,11 @@ class TestFidelity:
     @example(rho=load_reference_state("class7_appendix"),
              psi=circuit_unitary(("H", "I", "H"), 1.0)[:, 0])
     def test_pure_target_gives_the_root_of_the_overlap(self, rho, psi):
+        target = np.outer(psi, psi.conj())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", linalg.ClampWarning)
-            value = fidelity(rho, np.outer(psi, psi.conj()))
-        assert_root_of_overlap(value, psi, rho)
+            value = fidelity(rho, target)
+        assert_root_of_overlap(value, psi, rho, decomposition_error(rho, target))
 
     @settings(max_examples=100)
     @given(sigma=physical_states, psi=unit_vectors)
@@ -338,9 +376,14 @@ class TestFidelity:
     # is 0.0039, so the dust beside it is above 8 eps of it
     @example(sigma=evolve(("I", "I", "H"), corrupted_input(0.984375), 1.0),
              psi=circuit_unitary(("H", "H", "H"), 1.0)[:, 0])
+    # both are the pure state of this seed, whose eigenpair from eigh gives
+    # w |v|² 7.5 eps short of 1 = <psi|sigma|psi>: the fidelity squared is 8.5 eps short
+    @example(sigma=random_pure_density(np.random.default_rng(713272268)),
+             psi=unit_vector(np.random.default_rng(713272268)))
     def test_pure_state_gives_the_root_of_its_overlap_with_the_target(self, sigma, psi):
         # fidelity is symmetric on physical states
-        assert_root_of_overlap(fidelity(np.outer(psi, psi.conj()), sigma), psi, sigma)
+        state = np.outer(psi, psi.conj())
+        assert_root_of_overlap(fidelity(state, sigma), psi, sigma, decomposition_error(state, sigma))
 
     @settings(max_examples=100)
     @given(a=factored_states, letters=st.tuples(*[st.sampled_from("IHX")] * 3),
@@ -393,6 +436,75 @@ class TestFidelity:
     def test_dimension_mismatch_rejected(self, rng):
         with pytest.raises(ValueError, match="3-qubit"):
             fidelity(random_mixed_density(rng), np.eye(4) / 4)
+
+
+#: The closed form's bound, in eps times the block's norm (its largest eigenvalue
+#: in magnitude), on its distance from the exact eigenvalues.  Per unit roundoff
+#: u = eps/2, to first order: m and (a - c)/2 round once, |b| three times (the
+#: Hermitian part's two parts and the modulus) and the hypot once more, so the
+#: root m ± h that is formed as written is within 6u times the norm.  The other is
+#: ac/λ - |b|²/λ with |ac| + |b|² <= λ², each quotient 2 roundings plus λ's 6u
+#: and |b|²'s 6u, then one for the difference: 15u, which is 7.5 eps.
+CLOSED_FORM_EPS = 8
+#: The same for ``eigvalsh``, a backward-stable solver with no published constant
+#: at n = 2: over 1215 game blocks it came within 4.8 eps times the norm.
+EIGVALSH_EPS = 8
+
+
+class TestBlockSpectrum:
+    def assert_matches_eigvalsh(self, block):
+        spectrum = _block_spectrum(block)
+        reference = np.linalg.eigvalsh((block + dagger(block)) / 2)
+        if len(block) == 1:
+            # the real part, which is what eigvalsh returns for the Hermitian part
+            assert spectrum.tobytes() == reference.tobytes()
+            return spectrum
+        exact = oracle_block_spectrum(block)
+        eps = np.finfo(float).eps * np.abs(exact).max()
+        assert np.abs(spectrum - exact).max() <= CLOSED_FORM_EPS * eps
+        assert np.abs(spectrum - reference).max() <= (CLOSED_FORM_EPS + EIGVALSH_EPS) * eps
+        return spectrum
+
+    @settings(max_examples=200)
+    @given(target=game_states, rho=st.one_of(raw_states, physical_states),
+           skew=st.sampled_from([0.0, 0.45e-12]))
+    def test_game_target_block_matches_eigvalsh(self, target, rho, skew):
+        # with an anti-Hermitian part as large as the Hermiticity check lets
+        # through, as in the near-Hermitian matrix file
+        rho = rho + skew * 1j * np.kron(np.eye(4), linalg.X)
+        self.assert_matches_eigvalsh(support_block(rho, target)[0])
+
+    @given(diagonal=st.lists(st.floats(-1.0, 1.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-300),
+                             min_size=2, max_size=2))
+    def test_diagonal_block_keeps_each_eigenvalue_to_a_few_ulps(self, diagonal):
+        # where m - h would cancel away the smaller magnitude, the determinant
+        # over the larger keeps its digits
+        spectrum = _block_spectrum(np.diag(diagonal).astype(complex))
+        np.testing.assert_allclose(spectrum, sorted(diagonal), rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_every_branch_runs_on_game_targets(self):
+        # raw reconstructions at 3 and 8192 shots, the bundled raw state and pure
+        # game states, against every profile's state at the ends and inside of
+        # the corruption range
+        seen = dict(rank_one=0, rank_two=0, negative=0, negative_mean=0, clamp_warning=0, dust=0)
+        bundled = load_reference_state("class7_appendix")
+        for k, (letters, x, gamma) in enumerate(
+                product(product("IHX", repeat=3), (0.0, 0.3, 0.9, 1.0), (0.0, 0.7, np.pi / 2))):
+            target = evolve(letters, corrupted_input(x), gamma)
+            for rho in (reconstruct(estimate_expectations(target, 3, k)),
+                        reconstruct(estimate_expectations(target, 8192, k)),
+                        bundled, evolve(letters, None, gamma)):
+                block, scale = support_block(rho, target)
+                spectrum = self.assert_matches_eigvalsh(block)
+                seen["rank_one" if len(block) == 1 else "rank_two"] += 1
+                seen["negative"] += spectrum[0] < 0.0
+                seen["negative_mean"] += len(block) == 2 and spectrum.sum() < 0.0
+                seen["dust"] += np.sum((spectrum > 0.0) & (spectrum <= linalg.DUST_RTOL * scale))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", linalg.ClampWarning)
+                    fidelity(rho, target)
+                seen["clamp_warning"] += len(caught)
+        assert all(seen.values()), seen
 
 
 class TestProjectToPhysical:
