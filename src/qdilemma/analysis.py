@@ -143,31 +143,40 @@ SWEEP_COLUMNS = ("swept", "value", "p", "q", "n", "x", "quantum_ne_mean", "class
                  "x_c", "simulated_quantum_mean", "simulated_classical_mean", "valid", "error")
 
 
-def _float_column(values, m: int) -> list:
-    """``values`` as ``m`` Python floats; a value held over the whole grid is one
-    float object, repeated."""
-    return values.tolist() if np.ndim(values) else [float(values)] * m
+def _cells(values, void):
+    """A closed form's ``values`` as Python floats, ``None`` at the grid points in
+    ``void``: one float if held and none is void, ``None`` if all are, else a list."""
+    if not (np.ndim(values) or void.any()):
+        return float(values)
+    column = np.broadcast_to(values, void.shape).tolist()
+    for k in np.flatnonzero(void).tolist():
+        column[k] = None
+    return None if void.all() else column
 
 
 def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
-          gamma: float = DEFAULT_GAMMA) -> dict[str, list]:
+          gamma: float = DEFAULT_GAMMA) -> dict:
     """Evaluate both equilibria and the crossing point over a parameter grid.
 
     ``swept`` is one of ``"x"``, ``"n"``, ``"q"``; the other parameters are
     held at ``table`` and ``x``, and the swept one's field of ``table`` (or
     ``x``) is not read, so it need only make ``table`` valid.  Returns a
-    column table: a dict keyed by :data:`SWEEP_COLUMNS`, in that order, of
-    equal-length lists with one entry per grid point, in grid order.
-    ``value`` is the swept parameter's values, the same list object as that
-    parameter's column, and ``p, q, n, x`` echo the full effective parameter
-    set; likewise ``simulated_classical_mean`` of
-    a corruption sweep is ``classical_ne_mean``'s list object when the two are
-    equal bit for bit, as at the default stakes.  Grid points whose stakes
-    violate 0 < p < q < n, or whose corruption lies outside [0, 1], are kept with
-    ``valid`` false and the message of :class:`~qdilemma.game.PayoffTable`
-    or :func:`~qdilemma.game.check_corruption` as ``error`` instead of numbers.
-    A value that does not vary along the grid, such as a held stake, is one
-    object repeated in its column.
+    column table, a dict keyed by :data:`SWEEP_COLUMNS` in that order.  A
+    column whose cells differ along the grid is a list of one cell per grid
+    point, in grid order; a column held over the grid is its one cell:
+    ``swept``, the held parameters, and what depends on them alone, such as
+    ``x_c`` of a corruption sweep (``None`` when there is no level) and the
+    simulated columns of a stake sweep (``None``).  Callers that want lists
+    broadcast ``[cell] * len(columns["value"])``.  ``value`` is the swept
+    parameter's column itself, ``p, q, n, x`` echo the full effective
+    parameter set, and ``simulated_classical_mean`` of a corruption sweep is
+    ``classical_ne_mean`` itself when the two are equal bit for bit, as at the
+    default stakes.  ``valid`` is ``True`` and ``error`` ``None`` unless a grid
+    point's stakes violate 0 < p < q < n or its corruption lies outside
+    [0, 1].  Such a point is kept: ``valid`` and ``error`` become lists, false
+    and the message of :class:`~qdilemma.game.PayoffTable` or
+    :func:`~qdilemma.game.check_corruption` there, and so does each numeric
+    column, ``None`` there (a column with no number at any point is ``None``).
 
     The closed forms are evaluated as arrays over the whole grid, giving the
     per-point scalar functions' results bit for bit.  For a corruption sweep
@@ -185,51 +194,45 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     values = np.asarray(grid, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"sweep grid must be one-dimensional, got shape {values.shape}")
-    m = values.size
-    if not m:
+    if not values.size:
         raise ValueError("empty sweep grid")
     held = {"p": table.p, "q": table.q, "n": table.n, "x": x}
-    echo = {key: [value] * m for key, value in held.items()}
-    echo[swept] = values.tolist()
     # the held parameters stay scalars, so what depends on them alone is one value
-    operands = {key: float(value) for key, value in held.items()}
-    operands[swept] = values
-    p, q, n, xs = operands["p"], operands["q"], operands["n"], operands["x"]
+    p, q, n, xs = (values if key == swept else float(value) for key, value in held.items())
 
     if swept == "x":
         (mixed0, mixed1), (flip0, flip1) = (
             [payoff(row / row.sum(), table).mean for row in outcomes(profile, gamma)]
             for profile in (("H", "I", "X"), ("X", "X", "X")))
 
-    # invalid points may hold any numbers here; they are replaced below
+    # invalid points may hold any numbers here; they are voided below
     with np.errstate(all="ignore"):
-        valid = (0.0 < p) & (p < q) & (q < n) & np.isfinite(n) & (0.0 <= xs) & (xs <= 1.0)
-        quantum = _float_column(_quantum_ne(p, q, n, xs), m)
-        classical = _classical_ne(q, xs)
+        void = ~((0.0 < p) & (p < q) & (q < n) & np.isfinite(n) & (0.0 <= xs) & (xs <= 1.0))
+        quantum = _cells(_quantum_ne(p, q, n, xs), void)
+        classical_values = _classical_ne(q, xs)
+        classical = _cells(classical_values, void)
         numerator, x_c = _crossing(p, q, n)
-        x_c = _float_column(x_c, m)
+        x_c = _cells(x_c, void | (numerator <= 0.0))
+        sim_quantum = sim_classical = None
         if swept == "x":
-            sim_quantum = ((1.0 - xs) * mixed0 + xs * mixed1).tolist()
-            sim_classical = (1.0 - xs) * flip0 + xs * flip1
-            same = sim_classical.tobytes() == classical.tobytes()  # bit for bit
-            classical = classical.tolist()
-            sim_classical = classical if same else sim_classical.tolist()
-        else:
-            classical = _float_column(classical, m)
-            sim_quantum, sim_classical = [None] * m, [None] * m
+            sim_quantum = _cells((1.0 - xs) * mixed0 + xs * mixed1, void)
+            flip = (1.0 - xs) * flip0 + xs * flip1
+            # one list for both classical columns when they are equal bit for bit
+            same = flip.tobytes() == classical_values.tobytes()
+            sim_classical = classical if same else _cells(flip, void)
 
-    for k in np.flatnonzero(valid & (numerator <= 0.0)).tolist():
-        x_c[k] = None
-    errors = [None] * m
-    for k in np.flatnonzero(~valid).tolist():
-        quantum[k] = classical[k] = x_c[k] = sim_quantum[k] = sim_classical[k] = None
+    columns = dict(zip(SWEEP_COLUMNS, (swept, values.tolist(), *held.values(), quantum,
+                                       classical, x_c, sim_quantum, sim_classical, True, None)))
+    columns[swept] = columns["value"]
+    invalid = np.flatnonzero(void).tolist()
+    if invalid:
+        columns.update(valid=(~void).tolist(), error=[None] * values.size)
+    for k in invalid:
         # the per-point constructors give the exact message
+        point = {**held, swept: columns["value"][k]}
         try:
-            PayoffTable(echo["p"][k], echo["q"][k], echo["n"][k])
-            check_corruption(echo["x"][k])
+            PayoffTable(point["p"], point["q"], point["n"])
+            check_corruption(point["x"])
         except ValueError as exc:
-            errors[k] = str(exc)
-
-    return dict(zip(SWEEP_COLUMNS, ([swept] * m, echo[swept], echo["p"], echo["q"], echo["n"],
-                                    echo["x"], quantum, classical, x_c, sim_quantum, sim_classical,
-                                    valid.tolist(), errors)))
+            columns["error"][k] = str(exc)
+    return columns

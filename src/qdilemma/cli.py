@@ -19,7 +19,6 @@ import sys
 import tempfile
 import warnings
 from itertools import chain, repeat
-from operator import is_
 
 import numpy as np
 
@@ -148,10 +147,11 @@ _ECHO_COLUMNS = ("p", "q", "n", "x", "gamma", "seed")
 def _payload(args, columns, results=None, **extra) -> dict:
     """The one record form.
 
-    ``columns`` is a column table: a dict of equal-length lists of scalars, one
-    entry per row.  CSV is derived from it, with the ``params`` echo as leading
-    columns.  JSON prints ``params`` and ``results``; without ``results``, the
-    table's records (one dict per row) are the results.
+    ``columns`` is a column table: a dict whose values are each a list of
+    scalars, one per row, or one scalar held over every row; a table of
+    scalars alone is one row.  CSV is derived from it, with the ``params``
+    echo as leading columns.  JSON prints ``params`` and ``results``; without
+    ``results``, the table's records (one dict per row) are the results.
     """
     params = {key: getattr(args, key) for key in _PARAMS}
     params.update(extra)
@@ -159,11 +159,6 @@ def _payload(args, columns, results=None, **extra) -> dict:
     if results is not None:
         payload["results"] = results
     return payload
-
-
-def _row_table(row: dict) -> dict:
-    """The column table of one row."""
-    return {key: [value] for key, value in row.items()}
 
 
 def _table(args) -> PayoffTable:
@@ -198,7 +193,7 @@ def cmd_play(args) -> dict:
     row = {"profile": name}
     row.update((f"prob_{outcome}", prob) for outcome, prob in zip(game.OUTCOMES, probs))
     row.update(payoff1=pay.player1, payoff2=pay.player2, payoff3=pay.player3, mean=pay.mean)
-    return _payload(args, _row_table(row), results, profile=name)
+    return _payload(args, row, results, profile=name)
 
 
 def cmd_classes(args) -> dict:
@@ -239,7 +234,7 @@ def cmd_xc(args) -> dict:
     results = {"x_c": x_c, "no_advantage": x_c is None, "report": report}
     row = {"x_c": x_c, "no_advantage": x_c is None, "quantum_ne_mean": report["quantum_ne_mean"],
            "classical_ne_mean": report["classical_ne_mean"], "dominant": report["dominant"]}
-    return _payload(args, _row_table(row), results)
+    return _payload(args, row, results)
 
 
 def _resolve_state(token: str, args, role: str = "STATE", raw: bool = True) -> np.ndarray:
@@ -284,7 +279,7 @@ def cmd_tomo(args) -> dict:
         state = _resolve_state(token, args)
         target = _resolve_state(inputs[1], args, "TARGET", raw=False)
         results = {"fidelity": tomography.fidelity(state, target)}
-        return _payload(args, _row_table(results), results, state=token, target=inputs[1])
+        return _payload(args, results, results, state=token, target=inputs[1])
     if task == "forward":
         t = tomography.expectations(_resolve_state(token, args))
         return _tensor_payload(args, t, token)
@@ -355,54 +350,52 @@ _ENCODE_CELLS = json.JSONEncoder(allow_nan=False, separators=(",\n", ": ")).enco
 
 
 def _json_tokens(column: list) -> list:
-    """JSON text of each cell of a column of scalars: ``repr`` for a column of
-    exact floats (not numpy's, whose ``repr`` is ``np.float64(...)``), as the C
-    encoder writes them, and for any other one C-encoder call, split on its
-    item separator (no scalar's JSON text holds a newline)."""
-    if {*map(type, column)} != {float}:
+    """JSON text of each cell of a column of scalars: ``float.__repr__`` for a
+    column of floats, as the C encoder writes them (a numpy float's own
+    ``repr`` is ``np.float64(...)``), and for any other one C-encoder call,
+    split on its item separator (no scalar's JSON text holds a newline)."""
+    try:
+        tokens = list(map(float.__repr__, column))
+    except TypeError:  # a cell that is not a float
         return _ENCODE_CELLS(column)[1:-1].split(",\n")
-    tokens = list(map(repr, column))
     if not _NON_FINITE.isdisjoint(tokens):
         raise ValueError("non-finite value")
     return tokens
 
 
+def _height(columns: dict) -> int:
+    """Rows of a column table: the length of its lists, or 1 when it holds none."""
+    return next((len(column) for column in columns.values() if isinstance(column, list)), 1)
+
+
 def _joined_rows(columns: dict, labels, tokens, separator: str, opening: str = "",
                  closing: str = "") -> str:
     """JSON records or CSV rows joined by ``separator``: each row is ``opening``,
-    each column's label and cell joined by commas, and ``closing``.  A column
-    that repeats one object (by identity: ``0.0 == -0.0``, and a NaN must still
-    reach ``tokens`` to be refused) is formatted once and folded into the
-    literal text between the varying cells; every other column is formatted
-    once per distinct list object, and all rows are one join."""
-    m = len(next(iter(columns.values())))
-    if not m:
-        return ""
-    # literal text and varying token lists, alternating, literal first and last
+    each column's label and cell joined by commas, and ``closing``.  A held
+    scalar is formatted once and folded into the literal text between the
+    list cells; each list is formatted once per distinct list object, and all
+    rows are one join."""
+    # literal text and token lists, alternating, literal first and last
     parts, memo = [separator + opening], {}
     for k, (label, column) in enumerate(zip(labels, columns.values())):
-        if id(column) not in memo:
-            first = column[0]
-            memo[id(column)] = (tokens([first])[0] if all(map(is_, column, repeat(first)))
-                                else tokens(column))
-        cell = memo[id(column)]
         parts[-1] += ("," if k else "") + label
-        if isinstance(cell, list):
-            parts += [cell, ""]
-        else:
-            parts[-1] += cell
-    # the last literal, repeated m times, ends the zip when no column varies
+        if not isinstance(column, list):
+            parts[-1] += tokens([column])[0]
+            continue
+        if id(column) not in memo:
+            memo[id(column)] = tokens(column)
+        parts += [memo[id(column)], ""]
+    # the last literal, once per row, ends the zip when no column is a list
+    ends = repeat(parts[-1] + closing, _height(columns))
     segments = [repeat(part) if isinstance(part, str) else part for part in parts[:-1]]
-    text = "".join(chain.from_iterable(zip(*segments, repeat(parts[-1] + closing, m))))
+    text = "".join(chain.from_iterable(zip(*segments, ends)))
     # every row is led by the separator, the first one too
     return text[len(separator):]
 
 
 def _csv_text(echo: dict, columns: dict) -> str:
-    """CSV of a column table, led by the ``echo`` parameters as constant columns."""
-    m = len(next(iter(columns.values())))
-    table = {key: [value] * m for key, value in echo.items()}
-    table.update(columns)
+    """CSV of a column table, led by the ``echo`` parameters as held columns."""
+    table = {**echo, **columns}
     return (",".join(map(_csv_field, table)) + "\n"
             + _joined_rows(table, repeat(""), _csv_tokens, "", closing="\n"))
 
@@ -453,7 +446,9 @@ def emit(payload: dict, args):
             text = _csv_text(echo, columns)
     except ValueError:
         # walk the document only on failure: sweeps emit thousands of records
-        rows = [dict(zip(columns, row)) for row in zip(*columns.values())]
+        m = _height(columns)
+        rows = [dict(zip(columns, row)) for row in zip(*(
+            column if isinstance(column, list) else [column] * m for column in columns.values()))]
         if args.fmt == "json":
             doc = {"params": params, "results": payload.get("results", rows)}
         else:

@@ -131,7 +131,8 @@ def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
         _check_finite(rho)
         raise ValueError("density matrix is not Hermitian")
     if not abs(trace - 1.0) <= TOL:
-        raise ValueError(f"density matrix trace {trace.real:.15g} is not 1")
+        shown = trace if trace.imag else trace.real  # a complex trace only where it is one
+        raise ValueError(f"density matrix trace {shown:.15g} is not 1")
     if not raw:
         check_spectrum(np.linalg.eigvalsh(rho))
     return rho

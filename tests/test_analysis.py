@@ -308,7 +308,7 @@ class TestSweep:
     def test_stake_sweep_raises_crossing_with_n(self):
         columns = sweep(TABLE, "n", range(3, 101))
         values = columns["x_c"]
-        assert all(columns["valid"])
+        assert columns["valid"] is True
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_crossing_falls_as_q_approaches_n(self):
@@ -317,9 +317,12 @@ class TestSweep:
 
     def test_q_sweep_reaches_no_advantage(self):
         # beyond q = (2n+p)/3 the crossing disappears but the table stays legal
-        columns = sweep(TABLE, "q", [7.0])
-        assert columns["valid"] == [True]
-        assert columns["x_c"] == [None]
+        columns = sweep(TABLE, "q", [6.0, 7.0])
+        assert columns["valid"] is True
+        assert columns["x_c"][0] > 0.0
+        assert columns["x_c"][1] is None
+        # a column with no level at any point is no level
+        assert sweep(TABLE, "q", [7.0])["x_c"] is None
 
     def test_classical_payoff_equals_q_on_pristine_source(self):
         columns = sweep(TABLE, "q", np.linspace(1.1, 8.9, 9), x=0.0)
@@ -337,10 +340,65 @@ class TestSweep:
         assert sweep(TABLE, "x", grid)["value"] == grid
 
     def test_held_values_are_one_object_per_column(self):
-        # what the grid does not vary is formatted once when emitted
+        # what the grid does not vary is the column itself, formatted once when emitted
         columns = sweep(TABLE, "x", np.linspace(0, 1, 5))
-        for key in ("swept", "p", "q", "n", "x_c", "valid", "error"):
-            assert len(set(map(id, columns[key]))) == 1, key
+        assert [columns[key] for key in ("swept", "p", "q", "n", "x_c", "valid", "error")] == [
+            "x", TABLE.p, TABLE.q, TABLE.n, critical_corruption(TABLE), True, None]
+
+    @pytest.mark.parametrize("swept, grid, held, closed_form, value", [
+        ("x", np.linspace(0, 1, 5), {"swept", "p", "q", "n", "x_c", "valid", "error"},
+         "x_c", critical_corruption(TABLE)),
+        ("n", np.linspace(3, 30, 5), {"swept", "p", "q", "x", "classical_ne_mean",
+                                      "simulated_quantum_mean", "simulated_classical_mean",
+                                      "valid", "error"},
+         "classical_ne_mean", classical_ne_payoff(TABLE, 0.3)),
+        ("q", np.linspace(1.5, 8, 5), {"swept", "p", "n", "x", "quantum_ne_mean",
+                                       "simulated_quantum_mean", "simulated_classical_mean",
+                                       "valid", "error"},
+         "quantum_ne_mean", quantum_ne_payoff(TABLE, 0.3)),
+    ], ids=["x", "n", "q"])
+    def test_a_column_is_a_list_only_where_its_cells_differ(self, swept, grid, held,
+                                                            closed_form, value):
+        columns = sweep(TABLE, swept, grid, x=0.3)
+        assert {key for key, column in columns.items() if not isinstance(column, list)} == held
+        for key in set(SWEEP_COLUMNS) - held:
+            assert len(columns[key]) == len(grid), key
+        if swept != "x":
+            assert columns["simulated_quantum_mean"] is columns["simulated_classical_mean"] is None
+        # a held closed form is the per-point function's value, bit for bit
+        assert repr(columns[closed_form]) == repr(value)
+
+    def test_x_sweep_without_a_crossing_holds_no_level(self):
+        # 2n + p - 3q = -2 < 0: the quantum side never leads
+        columns = sweep(PayoffTable(1, 5, 6), "x", np.linspace(0, 1, 5))
+        assert columns["x_c"] is None
+        assert columns["valid"] is True
+
+    @pytest.mark.parametrize("swept, grid, invalid, numeric", [
+        ("x", [-0.5, 0.25, 1.5], [0, 2], ("quantum_ne_mean", "classical_ne_mean", "x_c",
+                                          "simulated_quantum_mean", "simulated_classical_mean")),
+        ("n", [9.0, 1.5, 30.0], [1], ("quantum_ne_mean", "classical_ne_mean", "x_c")),
+        ("q", [0.5, 2.0, 9.5], [0, 2], ("quantum_ne_mean", "classical_ne_mean", "x_c")),
+    ])
+    def test_an_invalid_point_makes_lists_with_none_there(self, swept, grid, invalid, numeric):
+        columns = sweep(TABLE, swept, grid)
+        assert columns["valid"] == [k not in invalid for k in range(3)]
+        assert [k for k, error in enumerate(columns["error"]) if error] == invalid
+        for key in numeric:
+            assert isinstance(columns[key], list), key
+            assert [k for k, cell in enumerate(columns[key]) if cell is None] == invalid, key
+        if swept == "x":
+            # the held crossing, broadcast where there is a number
+            assert columns["x_c"][1] == critical_corruption(TABLE)
+        else:
+            assert columns["simulated_quantum_mean"] is columns["simulated_classical_mean"] is None
+
+    def test_a_column_with_no_number_at_any_point_is_none(self):
+        columns = sweep(TABLE, "x", [-0.5, 1.5])
+        assert columns["valid"] == [False, False]
+        for key in ("quantum_ne_mean", "classical_ne_mean", "x_c", "simulated_quantum_mean",
+                    "simulated_classical_mean"):
+            assert columns[key] is None, key
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -434,8 +492,11 @@ class TestColumnarSweep:
         grid = [stakes.get(v, v) for v in grid]
         x = stakes.get(x, x)
         rows = per_point_sweep(table, swept, grid, x, gamma)
+        columns = sweep(table, swept, grid, x=x, gamma=gamma)
+        assert (columns["valid"] is True) == all(row["valid"] for row in rows)
         # repr tells -0.0 from 0.0 and compares the error strings too
-        assert repr(sweep(table, swept, grid, x=x, gamma=gamma)) == repr(
+        assert repr({key: column if isinstance(column, list) else [column] * len(grid)
+                     for key, column in columns.items()}) == repr(
             {key: [row[key] for row in rows] for key in SWEEP_COLUMNS})
 
     def test_rejects_a_two_dimensional_grid(self):

@@ -768,17 +768,20 @@ ECHO_KEYS = ("p", "q", "n", "x", "gamma", "seed")
 
 @st.composite
 def column_tables(draw, min_rows=0):
-    """Column tables of scalars: columns that repeat one object, such as held
-    stakes, next to mixed ones, to mixes of 0.0 and -0.0, and to one list
-    object under two keys, as ``sweep``'s ``value`` and swept columns."""
+    """Column tables of scalars: held columns (one scalar cell, such as a held
+    stake) and lists that repeat one object next to mixed ones, to mixes of
+    0.0 and -0.0, and to one list object under two keys, as ``sweep``'s
+    ``value`` and swept columns.  A table of held columns alone is one row."""
     m = draw(st.integers(min_rows, 6))
     keys = draw(st.lists(st.one_of(st.text(), st.sampled_from(ECHO_KEYS + ("%s", "100%"))),
                          min_size=1, max_size=6, unique=True))
     table = {}
     for key in keys:
-        kind = draw(st.sampled_from(["repeated", "mixed", "signed zeros", "aliased"]))
+        kind = draw(st.sampled_from(["held", "repeated", "mixed", "signed zeros", "aliased"]))
         if kind == "aliased" and table:
             table[key] = table[draw(st.sampled_from(list(table)))]
+        elif kind == "held":
+            table[key] = draw(CELLS)
         elif kind == "repeated":
             table[key] = [draw(CELLS)] * m
         elif kind == "signed zeros":
@@ -799,7 +802,16 @@ def emitted_table(params, table, fmt) -> str:
     return out.getvalue()
 
 
+def broadcast(table) -> dict:
+    """The table with each held cell repeated down its column: as many rows as
+    its lists have, or one row when it has none."""
+    m = next((len(column) for column in table.values() if isinstance(column, list)), 1)
+    return {key: column if isinstance(column, list) else [column] * m
+            for key, column in table.items()}
+
+
 def records(table) -> list:
+    table = broadcast(table)
     return [dict(zip(table, row)) for row in zip(*table.values())]
 
 
@@ -841,10 +853,13 @@ class TestColumnWriters:
         want = json.dumps({"params": params, "results": records(table)},
                           indent=2, allow_nan=False) + "\n"
         assert emitted_table(params, table, "json") == want
+        assert emitted_table(params, broadcast(table), "json") == want
 
     @given(params=echo_params(), table=column_tables(min_rows=1))
     def test_csv_equals_the_row_by_row_writer(self, params, table):
-        assert emitted_table(params, table, "csv") == reference_csv(params, records(table))
+        want = reference_csv(params, records(table))
+        assert emitted_table(params, table, "csv") == want
+        assert emitted_table(params, broadcast(table), "csv") == want
 
     @given(params=echo_params(), table=column_tables(min_rows=1))
     def test_csv_reads_back_to_the_header_and_cells(self, params, table):
@@ -860,12 +875,17 @@ class TestColumnWriters:
            data=st.data())
     def test_non_finite_cell_is_refused_with_its_path(self, params, table, fmt, value, data):
         key = data.draw(st.sampled_from(list(table)))
-        m = len(table[key])
-        if data.draw(st.booleans(), label="whole column"):
+        column = broadcast(table)[key]
+        m = len(column)
+        planted = data.draw(st.sampled_from(["cell", "whole column", "held"]))
+        if planted == "held":
+            # reported at the first row, as the broadcast column would be
+            k, table[key] = 0, value
+        elif planted == "whole column":
             k, table[key] = 0, [value] * m
         else:
             k = data.draw(st.integers(0, m - 1))
-            table[key] = [*table[key][:k], value, *table[key][k + 1:]]
+            table[key] = [*column[:k], value, *column[k + 1:]]
         where = "results" if fmt == "json" else "rows"
         with pytest.raises(ValueError) as info:
             emitted_table(params, table, fmt)
@@ -874,8 +894,8 @@ class TestColumnWriters:
 
 
 class TestExactFloatCells:
-    """Only a cell whose type is exactly ``float`` is written with ``float.__repr__``:
-    ``repr`` of a numpy float64 is ``np.float64(...)`` in numpy 2."""
+    """A numpy float64 cell is written as the plain float text of ``float.__repr__``
+    and ``.12g``, not its own ``repr``, which is ``np.float64(...)`` in numpy 2."""
 
     @pytest.mark.parametrize("column", [
         [np.float64(0.1), np.float64(-2.5), np.float64(1e-300)],
@@ -926,6 +946,21 @@ GOLDEN_SWEEPS = [
      "4ef0299a84bdcee4f01a3ec3af46bcc7921682308b89c29c6e305e201a04345e"),
     (["sweep", "x", "--p", "0.05", "--q", "0.1", "--n", "1"], "csv",
      "80fc76906acba88df7c820ca2f2c3bd4d20902e86351973e60df95a016d79284"),
+    # points with n <= q are invalid, so the held classical column holds a null there
+    (["sweep", "n", "--from", "1", "--to", "30"], "json",
+     "ae5da30259b12db846349995946b3c08271cce27aadf1cd39560512aab3d3999"),
+    (["sweep", "n", "--from", "1", "--to", "30"], "csv",
+     "6bd6b1e1b435268376b670eba1990c8c49569de5df4ed19b46c9b17e085eacc6"),
+]
+
+#: SHA-256 of the CSV output of the one-row commands, captured with the sweeps
+#: above: one row of cells after the parameter echo.
+GOLDEN_ONE_ROW_CSV = [
+    (["play", "XIX", "--x", "0.3", "--gamma", "0.7"],
+     "26b3c879ab1838f9f8a243ffda1c6aca1a815154b35efa23203d7032a429a89b"),
+    (["xc", "--x", "0.363"], "9e53956fea0742234384552cdda55120279da163798b1fb4b71d8ea003f4af8f"),
+    (["tomo", "fidelity", "class7_appendix", "101"],
+     "9f48434878ee3a3917196332a1fcf1be583b9bf98f02f66bbde6a61e747fa6e4"),
 ]
 
 
@@ -933,6 +968,14 @@ GOLDEN_SWEEPS = [
                          ids=[" ".join(argv[1:]) + f" {fmt}" for argv, fmt, _ in GOLDEN_SWEEPS])
 def test_sweep_output_is_byte_identical_to_the_golden_digest(capsys, argv, fmt, digest):
     code, out, err = run(capsys, *argv, "--grid", "2001", "--format", fmt)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_ONE_ROW_CSV,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_ONE_ROW_CSV])
+def test_one_row_csv_is_byte_identical_to_the_golden_digest(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 0, err
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

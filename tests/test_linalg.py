@@ -201,6 +201,17 @@ class TestValidateDensityMatrix:
             validate_density_matrix(np.eye(8))
         assert str(info.value) == "density matrix trace 8 is not 1"
 
+    def test_complex_trace_is_named_with_its_imaginary_part(self):
+        # each imaginary part is within the Hermiticity tolerance, their sum is past TOL
+        rho = np.eye(8) / 8 + np.diag([4.9e-13j] * 8)
+        with pytest.raises(ValueError) as info:
+            validate_density_matrix(rho, raw=True)
+        assert str(info.value) == "density matrix trace 1+3.92e-12j is not 1"
+
+    def test_complex_trace_within_tolerance_is_accepted(self):
+        rho = np.eye(8) / 8 + np.diag([1.2e-13j] * 8)
+        assert validate_density_matrix(rho, raw=True) is not None
+
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):

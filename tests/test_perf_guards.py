@@ -162,8 +162,15 @@ def test_sweep_value_is_the_swept_column(swept, grid):
     assert columns["value"] is columns[swept]
 
 
+@pytest.mark.parametrize("argv, lists, held", [
+    # value and x are one list, and so are the two classical means; quantum,
+    # classical and the simulated quantum mean vary
+    (["x"], 4, 7),
+    (["n", "--from", "3", "--to", "30"], 3, 9),
+    (["q", "--from", "1.5", "--to", "8"], 3, 9),
+], ids=["x", "n", "q"])
 @pytest.mark.parametrize("fmt, tokens", [("json", "_json_tokens"), ("csv", "_csv_tokens")])
-def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens):
+def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens, argv, lists, held):
     lengths = []
     original = getattr(cli, tokens)
 
@@ -172,15 +179,15 @@ def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens):
         return original(column)
 
     monkeypatch.setattr(cli, tokens, counting)
-    args = cli.build_parser().parse_args(["sweep", "x", "--grid", "2001", "--format", fmt])
+    args = cli.build_parser().parse_args(["sweep", *argv, "--grid", "2001", "--format", fmt])
     payload = cli.cmd_sweep(args)
     with contextlib.redirect_stdout(io.StringIO()):
         cli.emit(payload, args)
-    # value and x are one list, and so are the two classical means; quantum,
-    # classical and the simulated quantum mean vary
-    assert lengths.count(2001) == 4
-    # every other column repeats one object and is formatted from its first cell
-    assert set(lengths) == {1, 2001}
+    # each distinct list once, and each held column, the CSV's gamma and seed
+    # echo too, from its one cell
+    assert lengths.count(2001) == lists
+    assert lengths.count(1) == held + 2 * (fmt == "csv")
+    assert len(lengths) == lists + held + 2 * (fmt == "csv")
 
 
 def test_one_parser_per_process():
