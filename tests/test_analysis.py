@@ -186,6 +186,11 @@ class TestCriticalCorruption:
             assert critical_corruption(PayoffTable(1.0, 2.0, float(n))) < 0.5
         assert critical_corruption(PayoffTable(1.0, 2.0, 9415651814089914.0)) == 0.5
 
+    def test_at_half_past_n_2_55_at_the_default_stakes(self):
+        # past 2**55, 2n + p - 3q rounds to 2n and 4n - 3q to 4n
+        above = np.geomspace(np.nextafter(2.0**55, np.inf), 1e300, 200)
+        assert {critical_corruption(PayoffTable(1.0, 2.0, float(n))) for n in above} == {0.5}
+
     def test_rounds_to_half_near_n_1e17(self):
         # x_c < 1/2 exactly; in floating point it reaches 1/2 near n = 1e17
         assert critical_corruption(PayoffTable(1.0, 2.0, 1e16)) < 0.5

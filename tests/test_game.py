@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from qdilemma.game import (
     GATES,
+    NEG_PROB_TOL,
+    PROB_SUM_TOL,
     PayoffTable,
     PayoffVector,
     check_gamma,
@@ -225,6 +227,16 @@ class TestPayoff:
     def test_rejects_non_distribution(self):
         with pytest.raises(ValueError, match="probability"):
             payoff(np.full(8, 0.25), TABLE)
+
+    def test_tolerances_are_the_edges_of_a_distribution(self):
+        # an entry down to -NEG_PROB_TOL is rounding, and so is a sum within PROB_SUM_TOL of 1
+        payoff(np.r_[1.0 + NEG_PROB_TOL, -NEG_PROB_TOL, np.zeros(6)], TABLE)
+        payoff(np.r_[1.0 + PROB_SUM_TOL / 2, np.zeros(7)], TABLE)
+        for probs in (np.r_[1.0 + NEG_PROB_TOL, np.nextafter(-NEG_PROB_TOL, -1.0), np.zeros(6)],
+                      np.r_[1.0 + 2 * PROB_SUM_TOL, np.zeros(7)],
+                      np.r_[1.0 - 2 * PROB_SUM_TOL, np.zeros(7)]):
+            with pytest.raises(ValueError, match="not a probability distribution"):
+                payoff(probs, TABLE)
 
     @pytest.mark.parametrize("probs", [
         pytest.param(np.r_[np.nan, np.full(7, 1 / 7)], id="nan-in-one-slot"),

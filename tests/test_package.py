@@ -1,7 +1,15 @@
 import doctest
+import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import qdilemma
+from qdilemma import analysis, game, linalg
+
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_every_export_resolves():
@@ -15,6 +23,71 @@ def test_star_import_brings_exactly_the_exports():
 
 
 def test_readme_examples():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    failed, attempted = doctest.testfile(str(readme), module_relative=False, encoding="utf-8")
+    failed, attempted = doctest.testfile(str(README), module_relative=False, encoding="utf-8")
     assert attempted > 0 and failed == 0
+
+
+def contract_rules() -> list:
+    """The numbered rules of the README's "Numerical contracts", each as one string."""
+    section = README.read_text(encoding="utf-8").split("\n## Numerical contracts\n", 1)[1]
+    return re.split(r"^\d+\. ", section.split("\n## ", 1)[0], flags=re.MULTILINE)[1:]
+
+
+def test_documented_tolerances_equal_the_code():
+    documented = dict(re.findall(r"`(\w+\.[A-Z_]+)` = (\d+ eps|[\d.e+-]+)", contract_rules()[0]))
+    assert sorted(documented) == ["analysis.TIE_TOL", "game.NEG_PROB_TOL", "game.PROB_SUM_TOL",
+                                  "linalg.DUST_RTOL", "linalg.PSD_SLACK", "linalg.TOL"]
+    modules = {"linalg": linalg, "game": game, "analysis": analysis}
+    for name, text in documented.items():
+        module, constant = name.split(".")
+        value = int(text.split()[0]) * np.finfo(float).eps if text.endswith(" eps") else float(text)
+        assert getattr(modules[module], constant) == value, name
+
+
+class _Collected:
+    """A pytest plugin that keeps the items of the collection it runs in."""
+
+    items = ()
+
+    def pytest_collection_finish(self, session):
+        self.items = session.items
+
+
+def collect(files) -> list:
+    """The test items of ``files`` as pytest collects them, in this process."""
+    plugin = _Collected()
+    # the modules are mostly imported already, so their asserts cannot be rewritten again
+    code = pytest.main(["--collect-only", "-qq", "--assert=plain", "-p", "no:cacheprovider",
+                        "--rootdir", str(ROOT), *map(str, files)], plugins=[plugin])
+    assert code == pytest.ExitCode.OK
+    return plugin.items
+
+
+def test_every_contract_names_collected_tests():
+    rules = contract_rules()
+    assert rules
+    problems = []
+    named = {}
+    for number, rule in enumerate(rules, 1):
+        ids = re.findall(r"`(tests/[\w/]+\.py::[^`\s]+)`", rule)
+        if not ids and "(untested)" not in rule:
+            problems.append(f"rule {number} names no test and is not marked (untested)")
+        for node in ids:
+            named.setdefault(node, number)
+    files = {node.split("::")[0] for node in named}
+    missing = {name for name in files if not (ROOT / name).is_file()}
+    items = collect(sorted(ROOT / name for name in files - missing))
+    for node, number in named.items():
+        if node.split("::")[0] in missing:
+            problems.append(f"rule {number}: no file for {node}")
+            continue
+        # a function stands for its parametrizations and a class for its tests
+        matched = [item for item in items
+                   if item.nodeid == node or item.nodeid.startswith((node + "[", node + "::"))]
+        if not matched:
+            problems.append(f"rule {number}: {node} is not collected")
+        for item in matched:
+            for mark in ("skip", "skipif", "xfail"):
+                if item.get_closest_marker(mark):
+                    problems.append(f"rule {number}: {item.nodeid} is marked {mark}")
+    assert problems == []

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ from qdilemma.game import PayoffTable, evolve, parse_profile
 from qdilemma.noise import corrupted_input
 
 from helpers import subprocess_env
+
+#: The maximally mixed state plus 0.45e-12j · I⊗I⊗X, a raw state that passes the check.
+NEAR_HERMITIAN_MATRIX = Path(__file__).with_name("data") / "matrix_near_hermitian.txt"
 
 
 def in_a_new_thread(target):
@@ -77,6 +81,28 @@ def test_each_state_checked_once_per_public_call(monkeypatch, call, checks):
 
     monkeypatch.setattr(tomography, "validate_density_matrix", counting)
     call(evolve(parse_profile("HIX")))
+    assert len(calls) == checks
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["tomo", "forward", "class7_appendix"], 2),
+    (["tomo", "forward", str(NEAR_HERMITIAN_MATRIX)], 2),
+    (["tomo", "fidelity", "class7_appendix", "101"], 3),
+    (["tomo", "fidelity", "XIX", "101"], 3),
+], ids=["forward-bundled", "forward-file", "fidelity-bundled", "fidelity-profile"])
+def test_cli_checks_a_bundled_or_file_state_once_more(monkeypatch, tmp_path, argv, checks):
+    # cli and game look the check up in linalg, and tomography holds its own name for it
+    calls = []
+    for module in (linalg, tomography):
+        def counting(*args, _original=module.validate_density_matrix, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "validate_density_matrix", counting)
+    assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == 0
+    # a bundled or file state is checked by the CLI, to name its role and token,
+    # and again by the function that reads it; a profile's state is evolved from
+    # a checked input, and a basis target is checked by fidelity alone
     assert len(calls) == checks
 
 

@@ -17,6 +17,8 @@ from qdilemma.linalg import basis_density, dagger, max_abs, validate_density_mat
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
     _PAULI,
+    _PAULI_INVERSE,
+    _PAULI_PARTS,
     _block_spectrum,
     check_shots,
     estimate_expectations,
@@ -574,6 +576,19 @@ class TestProjectToPhysical:
         rho = random_mixed_density(rng)
         assert max_abs(project_to_physical(rho) - rho) <= 1e-12
 
+    def test_is_not_the_nearest_physical_state(self):
+        # projecting the spectrum onto the probability simplex lands nearer the
+        # bundled raw state: it subtracts the largest shift (top k sum - 1) / k
+        # that leaves the k-th largest eigenvalue positive
+        rho = load_reference_state("class7_appendix")
+        w, v = np.linalg.eigh(rho)
+        shifts = (np.cumsum(w[::-1]) - 1.0) / np.arange(1, 9)
+        shift = shifts[w[::-1] > shifts][-1]
+        nearest = (v * np.maximum(w - shift, 0.0)) @ v.conj().T
+        validate_density_matrix(nearest)
+        assert np.linalg.norm(nearest - rho) == pytest.approx(1.893, abs=1e-3)
+        assert np.linalg.norm(project_to_physical(rho) - rho) == pytest.approx(1.950, abs=1e-3)
+
 
 class TestLoadReferenceState:
     def test_transcribed_entries(self):
@@ -655,6 +670,8 @@ def random_raw_density(rng):
     physical_states,
     st.integers(0, 2**32 - 1).map(lambda s: random_raw_density(np.random.default_rng(s)))))
 @example(rho=load_reference_state("class7_appendix"))
+# expectations of 1.1e-308, whose eighths are subnormal
+@example(rho=evolve(("I", "I", "H"), corrupted_input(0.0), 1.1125369292536007e-308))
 def test_matrix_forms_match_the_per_string_sums(rho):
     # the matrix products sum in another order than one trace per string, so
     # they agree to rounding, not bit for bit
@@ -665,6 +682,10 @@ def test_matrix_forms_match_the_per_string_sums(rho):
     for value, s in zip(t.ravel(), PAULI_STRINGS):
         acc += value * s
     assert max_abs(reconstruct(t) - acc / 8.0) <= 1e-15
+    # P/8 is exact, so the product with it rounds as the product with P does,
+    # eight times smaller, unless an entry's eighth falls among the subnormals
+    if (np.abs(t[t != 0.0]) >= 2.0**-1019).all():
+        assert reconstruct(t).tobytes() == ((t.ravel() @ _PAULI_PARTS) / 8.0).tobytes()
 
 
 def test_pauli_matrix_rows_are_orthogonal_with_norm_8():
@@ -672,6 +693,7 @@ def test_pauli_matrix_rows_are_orthogonal_with_norm_8():
     # inverts P.T: reconstruct undoes expectations
     assert _PAULI.shape == (64, 64)
     assert np.array_equal(_PAULI.conj() @ _PAULI.T, 8 * np.eye(64))
+    assert np.array_equal(_PAULI_INVERSE * 8.0, _PAULI_PARTS)
 
 
 def test_pauli_strings_cover_all_64(rng):
