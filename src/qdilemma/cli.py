@@ -17,7 +17,7 @@ import re
 import stat
 import sys
 import warnings
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -306,7 +306,7 @@ def cmd_tomo(args) -> dict:
     return _payload(args, columns, results, tensor_file=token)
 
 
-#: The ``repr`` and ``.12g`` text of the non-finite floats.
+#: The ``.12g`` text of the non-finite floats.
 _NON_FINITE = frozenset(("nan", "inf", "-inf"))
 
 #: Characters that make a CSV field quoted.
@@ -349,17 +349,12 @@ _ENCODE_CELLS = json.JSONEncoder(allow_nan=False, separators=(",\n", ": ")).enco
 
 
 def _json_tokens(column: list) -> list:
-    """JSON text of each cell of a column of scalars: ``float.__repr__`` for a
-    column of floats, as the C encoder writes them (a numpy float's own
-    ``repr`` is ``np.float64(...)``), and for any other one C-encoder call,
-    split on its item separator (no scalar's JSON text holds a newline)."""
-    try:
-        tokens = list(map(float.__repr__, column))
-    except TypeError:  # a cell that is not a float
-        return _ENCODE_CELLS(column)[1:-1].split(",\n")
-    if not _NON_FINITE.isdisjoint(tokens):
-        raise ValueError("non-finite value")
-    return tokens
+    """JSON text of each cell of a column of scalars: one C-encoder call, split
+    on its item separator (no scalar's JSON text holds a newline).  The encoder
+    refuses NaN and infinity, and writes a float, a numpy float64 too, as
+    ``float.__repr__`` does (a numpy float's own ``repr`` is ``np.float64(...)``).
+    An empty column's ``[]`` would split into one empty token, so it has none."""
+    return _ENCODE_CELLS(column)[1:-1].split(",\n") if column else []
 
 
 def _height(columns: dict) -> int:
@@ -367,45 +362,57 @@ def _height(columns: dict) -> int:
     return next((len(column) for column in columns.values() if isinstance(column, list)), 1)
 
 
-def _joined_rows(columns: dict, labels, tokens, separator: str, opening: str = "",
-                 closing: str = "") -> str:
-    """JSON records or CSV rows joined by ``separator``: each row is ``opening``,
-    each column's label and cell joined by commas, and ``closing``.  A held
-    scalar is formatted once and folded into the literal text between the
-    list cells; each list is formatted once per distinct list object, and all
-    rows are one join."""
-    # literal text and token lists, alternating, literal first and last
-    parts, memo = [separator + opening], {}
+def _joined_rows(columns: dict, labels, tokens, head: str, between: str, tail: str,
+                 empty: str) -> str:
+    """A whole document in one join: ``head``, the rows of a column table
+    joined by ``between``, and ``tail``; ``empty`` for a table of no rows.
+    Each row is each column's label and cell, joined by commas.  A held scalar
+    is formatted once and folded into the literal text between the list
+    cells; each list is formatted once per distinct list object, and its
+    cells are slice-assigned into their places among the literal pieces."""
+    # the literal text before each list cell of a row, and the text after its last
+    literals, lists, memo = [""], [], {}
     for k, (label, column) in enumerate(zip(labels, columns.values())):
-        parts[-1] += ("," if k else "") + label
+        literals[-1] += ("," if k else "") + label
         if not isinstance(column, list):
-            parts[-1] += tokens([column])[0]
+            literals[-1] += tokens([column])[0]
             continue
         if id(column) not in memo:
             memo[id(column)] = tokens(column)
-        parts += [memo[id(column)], ""]
-    # the last literal, once per row, ends the zip when no column is a list
-    ends = repeat(parts[-1] + closing, _height(columns))
-    segments = [repeat(part) if isinstance(part, str) else part for part in parts[:-1]]
-    text = "".join(chain.from_iterable(zip(*segments, ends)))
-    # every row is led by the separator, the first one too
-    return text[len(separator):]
+        lists.append(memo[id(column)])
+        literals.append("")
+    if not lists:  # a table of held columns alone is one row
+        return head + literals[0] + tail
+    height = len(lists[0])
+    if not height:
+        return empty
+    # one row's pieces, literal text and list cell in turn; a row's first
+    # piece ends the row before it
+    width = 2 * len(lists)
+    row = [literals[-1] + between + literals[0], None] * len(lists)
+    row[2::2] = literals[1:-1]
+    pieces = row * height
+    for k, cells in enumerate(lists):
+        pieces[2 * k + 1::width] = cells
+    pieces[0] = head + literals[0]
+    pieces.append(literals[-1] + tail)
+    return "".join(pieces)
 
 
 def _csv_text(echo: dict, columns: dict) -> str:
     """CSV of a column table, led by the ``echo`` parameters as held columns."""
     table = {**echo, **columns}
-    return (",".join(map(_csv_field, table)) + "\n"
-            + _joined_rows(table, repeat(""), _csv_tokens, "", closing="\n"))
+    header = ",".join(map(_csv_field, table)) + "\n"
+    return _joined_rows(table, repeat(""), _csv_tokens, header, "\n", "\n", header)
 
 
-def _records_text(columns: dict) -> str:
-    """``json.dumps(..., indent=2)`` of the records (one dict per row) of a
-    column table, as the value of a top-level key."""
+def _records_text(head: str, columns: dict) -> str:
+    """``head``, then ``json.dumps(..., indent=2)`` of the records (one dict per
+    row) of a column table as the value of a top-level key, then the document's end."""
     pad = "\n    "
     labels = [f"{pad}  {json.dumps(key)}: " for key in columns]
-    records = _joined_rows(columns, labels, _json_tokens, "," + pad, "{", pad + "}")
-    return f"[{pad}{records}\n  ]" if records else "[]"
+    return _joined_rows(columns, labels, _json_tokens, f"{head}[{pad}{{", f"{pad}}},{pad}{{",
+                        f"{pad}}}\n  ]\n}}\n", f"{head}[]\n}}\n")
 
 
 def _nested_text(node) -> str:
@@ -436,10 +443,9 @@ def emit(payload: dict, args):
     params, columns = payload["params"], payload["columns"]
     try:
         if args.fmt == "json":
-            results = (_nested_text(payload["results"]) if "results" in payload
-                       else _records_text(columns))
-            # an f-string copies the records once, a chain of + once per operator
-            text = f'{{\n  "params": {_nested_text(params)},\n  "results": {results}\n}}\n'
+            head = f'{{\n  "params": {_nested_text(params)},\n  "results": '
+            text = (f'{head}{_nested_text(payload["results"])}\n}}\n' if "results" in payload
+                    else _records_text(head, columns))
         else:
             echo = {c: params[c] for c in _ECHO_COLUMNS if c not in columns}
             text = _csv_text(echo, columns)

@@ -835,12 +835,13 @@ def reference_csv_row(cells) -> str:
     return buf.getvalue()[:-2] + "\n"
 
 
-def reference_csv(params, rows) -> str:
-    """The row-by-row CSV writer that the column writer replaced."""
-    echo = {c: params[c] for c in ECHO_KEYS if c not in rows[0]}
+def reference_csv(params, table) -> str:
+    """The row-by-row CSV writer that the column writer replaced, with the
+    header taken from the table's keys, so that a table of no rows is its header."""
+    echo = {c: params[c] for c in ECHO_KEYS if c not in table}
     lead = [reference_csv_cell(v) for v in echo.values()]
-    lines = [reference_csv_row(list(echo) + list(rows[0]))]
-    for row in rows:
+    lines = [reference_csv_row(list(echo) + list(table))]
+    for row in records(table):
         lines.append(reference_csv_row(lead + [
             format(v, ".12g") if v.__class__ is float and v - v == 0.0
             else reference_csv_cell(v) for v in row.values()]))
@@ -855,20 +856,35 @@ class TestColumnWriters:
         assert emitted_table(params, table, "json") == want
         assert emitted_table(params, broadcast(table), "json") == want
 
-    @given(params=echo_params(), table=column_tables(min_rows=1))
+    @given(params=echo_params(), table=column_tables())
     def test_csv_equals_the_row_by_row_writer(self, params, table):
-        want = reference_csv(params, records(table))
+        want = reference_csv(params, table)
         assert emitted_table(params, table, "csv") == want
         assert emitted_table(params, broadcast(table), "csv") == want
 
-    @given(params=echo_params(), table=column_tables(min_rows=1))
+    @given(params=echo_params(), table=column_tables())
     def test_csv_reads_back_to_the_header_and_cells(self, params, table):
-        rows = records(table)
-        echo = {c: params[c] for c in ECHO_KEYS if c not in rows[0]}
+        echo = {c: params[c] for c in ECHO_KEYS if c not in table}
         header, *read = csv.reader(io.StringIO(emitted_table(params, table, "csv"), newline=""))
-        assert header == list(echo) + list(rows[0])
+        assert header == list(echo) + list(table)
         assert read == [[reference_csv_cell(v) for v in (*echo.values(), *row.values())]
-                        for row in rows]
+                        for row in records(table)]
+
+    @pytest.mark.parametrize("table", [{"": []}, {"a": [], "b": 1.5}, {"a": [], "b": [], "p": []}],
+                             ids=["one empty list", "a list and a held cell", "lists and an echo key"])
+    def test_zero_rows_are_an_empty_json_list(self, table):
+        params = dict.fromkeys(ECHO_KEYS, 1.0)
+        text = emitted_table(params, table, "json")
+        assert text == json.dumps({"params": params, "results": []}, indent=2) + "\n"
+        assert text.endswith('\n  "results": []\n}\n')
+
+    @pytest.mark.parametrize("table, header", [
+        ({"": []}, "p,q,n,x,gamma,seed,"),
+        ({"a": [], "b": 1.5}, "p,q,n,x,gamma,seed,a,b"),
+        ({"a": [], "b": [], "p": []}, "q,n,x,gamma,seed,a,b,p"),
+    ], ids=["one empty list", "a list and a held cell", "lists and an echo key"])
+    def test_zero_rows_are_the_csv_header_line_only(self, table, header):
+        assert emitted_table(dict.fromkeys(ECHO_KEYS, 1.0), table, "csv") == header + "\n"
 
     @given(params=echo_params(), table=column_tables(min_rows=1), fmt=st.sampled_from(["json", "csv"]),
            value=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),

@@ -223,6 +223,41 @@ def test_sweep_emit_formats_each_distinct_column_once(monkeypatch, fmt, tokens, 
     assert len(lengths) == lists + held + 2 * (fmt == "csv")
 
 
+@pytest.mark.parametrize("output", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_document_is_one_join_written_as_it_is(monkeypatch, tmp_path, fmt, output):
+    joined, written = [], []
+    joined_rows, write_atomic = cli._joined_rows, cli._write_atomic
+
+    def counting(*args, **kwargs):
+        joined.append(joined_rows(*args, **kwargs))
+        return joined[-1]
+
+    def recording(path, text):
+        written.append(text)
+        write_atomic(path, text)
+
+    class Stdout:
+        def write(self, text):
+            written.append(text)
+
+    monkeypatch.setattr(cli, "_joined_rows", counting)
+    monkeypatch.setattr(cli, "_write_atomic", recording)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    path = tmp_path / f"out.{fmt}"
+    argv = ["sweep", "x", "--grid", "2001", "--format", fmt] + ["--output", str(path)] * output
+    args = cli.build_parser().parse_args(argv)
+    cli.emit(cli.cmd_sweep(args), args)
+    # the whole document is the one string the row writer returned, written as it is
+    assert len(joined) == 1 and len(written) == 1
+    assert written[0] is joined[0]
+    text = path.read_text(encoding="utf-8") if output else written[0]
+    if fmt == "json":
+        assert len(json.loads(text)["results"]) == 2001
+    else:
+        assert text.count("\n") == 2002
+
+
 def test_one_parser_per_process():
     assert cli.build_parser() is cli.build_parser()
 
