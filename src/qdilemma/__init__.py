@@ -24,7 +24,6 @@ from .linalg import (
     basis_density,
     basis_state,
     dagger,
-    kron,
     validate_density_matrix,
 )
 from .noise import ancilla_prepare, corrupted_input, theta_for_x
@@ -57,7 +56,6 @@ __all__ = [
     "evolve",
     "expectations",
     "fidelity",
-    "kron",
     "load_reference_state",
     "outcomes",
     "parse_profile",

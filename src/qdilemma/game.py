@@ -8,7 +8,6 @@ computational basis.  Outcome bit 1 means "go to the party"; the stakes
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -31,9 +30,15 @@ PROB_SUM_TOL = 1e-10
 
 
 #: Each player's move as its 2x2 gate: ``"I"`` stays home, ``"X"`` goes to the
-#: party, ``"H"`` goes with half probability.  Profile functions index it directly,
-#: so an unknown letter raises ``KeyError``; :func:`parse_profile` is the letter rule.
+#: party, ``"H"`` goes with half probability.  Profile functions look each letter up
+#: directly, so an unknown one raises ``KeyError``; :func:`parse_profile` is the letter rule.
 GATES = {"I": I2, "H": H, "X": X}
+#: Each letter's place in ``GATES`` and along the axes of ``_STRATEGIES``.
+_GATE_INDEX = {letter: k for k, letter in enumerate(GATES)}
+#: The players' products ``S1 ⊗ S2 ⊗ S3`` of all 27 profiles, one read-only table
+#: indexed by the three letters' places: one tensor product of the stacked gates.
+_STRATEGIES = kron3(*[np.stack(list(GATES.values()))] * 3).reshape(3, 3, 3, 8, 8)
+_STRATEGIES.flags.writeable = False
 
 
 def parse_profile(text: str) -> tuple[str, str, str]:
@@ -66,8 +71,8 @@ def check_corruption(x: float) -> float:
     return x
 
 
-#: X⊗X⊗X, the operator the entangler mixes with the identity.
-_XXX = kron3(X, X, X)
+#: X⊗X⊗X, the operator the entangler mixes with the identity: the table's XXX entry.
+_XXX = _STRATEGIES[2, 2, 2]
 
 
 def entangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -136,14 +141,6 @@ class PayoffVector:
         return math.ldexp(total / 3, e)
 
 
-@functools.cache
-def _strategy_product(s1: str, s2: str, s3: str) -> np.ndarray:
-    """The players' kron product ``S1 ⊗ S2 ⊗ S3``, built once per profile and read-only."""
-    strategies = kron3(GATES[s1], GATES[s2], GATES[s3])
-    strategies.flags.writeable = False
-    return strategies
-
-
 def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler.
 
@@ -152,13 +149,12 @@ def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     ``(J†S)J = c(J†S) + is(J†S)R`` its columns; no 8x8 product is taken.
     Each entry sums the same two products as the matrix products do, whose
     other terms are zeros; adding 0.0 turns the -0 that H's kron leaves in
-    ``S`` at ``s = 0`` into the +0 that a product's sum ends in.  ``S`` is
-    built once per profile and shared, read-only, by later calls.
+    ``S`` at ``s = 0`` into the +0 that a product's sum ends in.
     """
     s1, s2, s3 = profile
     gamma = check_gamma(gamma)
     c, s = np.cos(gamma / 2), np.sin(gamma / 2)
-    strategies = _strategy_product(s1, s2, s3)
+    strategies = _STRATEGIES[_GATE_INDEX[s1], _GATE_INDEX[s2], _GATE_INDEX[s3]]
     left = c * strategies - 1j * s * strategies[::-1]
     return left * c + left[:, ::-1] * (1j * s) + 0.0
 

@@ -44,22 +44,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).conj().T
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two matrices.
-
-    The same elementwise products as ``np.kron``, so bit-identical to it, but
-    without its general n-dimensional shape handling, which costs most of the
-    time for matrices this small.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Three-factor tensor product."""
-    return kron(kron(a, b), c)
+    """Tensor product ``a ⊗ b ⊗ c`` by numpy's ``kron``, which works over every axis:
+    stacks of matrices give the stack of every triple's product, in row-major order
+    of the three stack indices, each bit for bit that triple's own product."""
+    return np.kron(np.kron(a, b), c)
 
 
 def cnot(control: int, target: int, qubits: int) -> np.ndarray:

@@ -20,7 +20,6 @@ import math
 import operator
 import threading
 from importlib import resources
-from itertools import product
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .linalg import (DUST_RTOL, PAULIS, TOL, check_spectrum, clamp_spectrum, kro
                      validate_density_matrix)
 
 #: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k, flattened into rows in row-major (i, j, k) order.
-_PAULI = np.stack([kron3(a, b, c).ravel() for a, b, c in product(PAULIS, repeat=3)])
+_PAULI = kron3(*[np.stack(PAULIS)] * 3).reshape(64, 64)
 #: Its float view: each row holds a string's real and imaginary parts, interleaved.
 _PAULI_PARTS = _PAULI.view(float)
 #: The inverse map's matrix, that view over 8: every entry is 0 or ±1/8, so it is exact.

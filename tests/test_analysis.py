@@ -444,6 +444,22 @@ class TestSweep:
             assert columns["simulated_classical_mean"][k] == pytest.approx(
                 simulated_class_mean(("X", "X", "X"), table, x, gamma), abs=tol)
 
+    @given(n=st.floats(1e-3, 1e3), q_frac=st.floats(1e-3, 1.0, exclude_max=True),
+           p_frac=st.floats(1e-3, 1.0, exclude_max=True),
+           xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+           gamma=st.floats(0.0, math.pi / 2))
+    def test_corruption_sweep_follows_the_gamma_forms(self, n, q_frac, p_frac, xs, gamma):
+        # the README's forms at every gamma: HIX is p/3 + (2n/3)(1 - 2x)sin^2(gamma),
+        # XXX is q(1 - x)
+        q = n * q_frac
+        p = q * p_frac
+        tol = 1e-12 * (1.0 + n)
+        columns = sweep(PayoffTable(p, q, n), "x", xs, gamma=gamma)
+        for k, x in enumerate(xs):
+            assert columns["simulated_quantum_mean"][k] == pytest.approx(
+                p / 3 + (2 * n / 3) * (1 - 2 * x) * math.sin(gamma) ** 2, abs=tol)
+            assert columns["simulated_classical_mean"][k] == pytest.approx(q * (1 - x), abs=tol)
+
 
 def per_point_sweep(table, swept, grid, x, gamma):
     """The per-point loop that ``sweep`` replaces: one PayoffTable, one

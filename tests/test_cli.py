@@ -234,6 +234,18 @@ class TestXc:
         doc = run_json(capsys, "xc", "--p", "1e-13", "--q", "2e-13", "--n", "9e-13", "--x", x)
         assert doc["results"]["report"]["dominant"] == verdict
 
+    def test_worked_example_closed_forms_ignore_gamma_and_play_follows_it(self, capsys):
+        # the README's worked example under "Critical corruption": the closed
+        # forms and the verdict ignore --gamma, and HIX simulates at the gamma
+        # given; when the closed forms follow --gamma, this and the README change
+        report = run_json(capsys, "xc", "--gamma", "0.3")["results"]["report"]
+        assert report["quantum_ne_mean"] == pytest.approx(19 / 3, abs=1e-12)
+        assert report["classical_ne_mean"] == 2.0
+        assert report["dominant"] == "quantum"
+        mean = run_json(capsys, "play", "HIX", "--gamma", "0.3")["results"]["payoffs"]["mean"]
+        assert round(mean, 3) == 0.857
+        assert mean == pytest.approx(1 / 3 + 6 * math.sin(0.3) ** 2, abs=1e-12)
+
     def test_no_advantage_csv_cell_is_empty(self, capsys):
         code, out, _ = run(capsys, "xc", "--q", "7", "--format", "csv")
         assert code == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qdilemma import game
 from qdilemma.game import (
     GATES,
     NEG_PROB_TOL,
@@ -105,10 +106,20 @@ class TestGates:
     @pytest.mark.parametrize("profile", [("x", "I", "X"), ("I", "Q", "X"), ("I", "H", "Z")],
                              ids=["lower-case", "Q", "Z"])
     def test_unknown_letter_raises_key_error(self, function, profile):
-        # twice, as a failed build is not kept
+        unknown = next(letter for letter in profile if letter not in GATES)
+        # twice, as a failed lookup leaves nothing behind
         for _ in range(2):
-            with pytest.raises(KeyError):
+            with pytest.raises(KeyError) as raised:
                 function(profile)
+            assert raised.value.args == (unknown,)
+
+    def test_strategy_table_holds_each_profiles_product_bit_for_bit(self):
+        table = game._STRATEGIES
+        assert table.shape == (3, 3, 3, 8, 8) and not table.flags.writeable
+        for (i, a), (j, b), (k, c) in product(enumerate(GATES), repeat=3):
+            assert table[i, j, k].tobytes() == kron3(GATES[a], GATES[b], GATES[c]).tobytes()
+        # the entangler's X⊗X⊗X is the table's XXX entry
+        assert game._XXX.tobytes() == kron3(GATES["X"], GATES["X"], GATES["X"]).tobytes()
 
 
 class TestPlay:

@@ -127,41 +127,44 @@ def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
         assert shapes == [(8, 8)]
 
 
-def test_no_kron_for_a_profile_already_built(monkeypatch):
-    game.circuit_unitary(parse_profile("HIX"), 0.7)
-    calls = []
-    kron = linalg.kron
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kron(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "kron", counting)
-    for gamma in (0.0, 0.7, np.pi / 2):
-        game.circuit_unitary(parse_profile("HIX"), gamma)
-        game.evolve(parse_profile("HIX"), corrupted_input(0.3), gamma)
-    # the strategy product is built once per profile
-    assert calls == []
-    # the count sees a profile built for the first time
-    game._strategy_product.cache_clear()
-    game.circuit_unitary(parse_profile("HIX"))
-    assert len(calls) == 2
-
-
-def test_no_np_kron_on_import_or_evolve():
-    # a fresh interpreter, so that the module-level tables are built under the count
-    script = (
+def run_counting_kron(script):
+    """Run ``script`` in a fresh interpreter whose ``np.kron`` appends the
+    dimensions of its two factors to ``dims``, so that the module-level
+    tables are built under the count; return what the script prints."""
+    head = (
         "import numpy as np\n"
-        "calls = []\n"
+        "dims = []\n"
         "kron = np.kron\n"
-        "np.kron = lambda *a, **k: calls.append(1) or kron(*a, **k)\n"
-        "from qdilemma import game, tomography\n"
-        "game.evolve(game.parse_profile('HIX'))\n"
-        "print(len(calls))\n"
+        "np.kron = lambda a, b: dims.append((np.ndim(a), np.ndim(b))) or kron(a, b)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=subprocess_env(), check=True)
-    assert proc.stdout == "0\n"
+    proc = subprocess.run([sys.executable, "-c", head + script], capture_output=True,
+                          text=True, env=subprocess_env(), check=True)
+    return proc.stdout
+
+
+def test_import_builds_both_tables_in_four_stacked_kron_calls():
+    # two calls per table, the strategy products and the Pauli strings, each on stacks
+    assert run_counting_kron("import qdilemma.cli\nprint(dims)\n") == f"{[(3, 3)] * 4}\n"
+
+
+def test_no_kron_on_a_circuits_first_use():
+    # game's own kron3 is counted too, in case a product is formed without np.kron
+    script = (
+        "from itertools import product\n"
+        "from qdilemma import game\n"
+        "from qdilemma.noise import corrupted_input\n"
+        "dims.clear()\n"
+        "kron3 = game.kron3\n"
+        "game.kron3 = lambda *a: dims.append('kron3') or kron3(*a)\n"
+        "for profile in product('IHX', repeat=3):\n"
+        "    for gamma in (0.0, 0.7, np.pi / 2):\n"
+        "        game.outcomes(profile, gamma)\n"
+        "        game.circuit_unitary(profile, gamma)\n"
+        "        game.evolve(profile, corrupted_input(0.3), gamma)\n"
+        "print(dims)\n"
+    )
+    # each profile's product is read from the table built at import, first use included
+    assert run_counting_kron(script) == "[]\n"
 
 
 def test_sweep_emit_encodes_columns_not_records(monkeypatch):

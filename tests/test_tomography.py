@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qdilemma import linalg
 from qdilemma.game import circuit_unitary, evolve, parse_profile
-from qdilemma.linalg import basis_density, dagger, max_abs, validate_density_matrix
+from qdilemma.linalg import basis_density, dagger, kron3, max_abs, validate_density_matrix
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
     _PAULI,
@@ -694,6 +694,11 @@ def test_pauli_matrix_rows_are_orthogonal_with_norm_8():
     assert _PAULI.shape == (64, 64)
     assert np.array_equal(_PAULI.conj() @ _PAULI.T, 8 * np.eye(64))
     assert np.array_equal(_PAULI_INVERSE * 8.0, _PAULI_PARTS)
+
+
+def test_pauli_matrix_is_the_per_string_stack_bit_for_bit():
+    strings = [kron3(a, b, c).ravel() for a, b, c in product(linalg.PAULIS, repeat=3)]
+    assert _PAULI.tobytes() == np.stack(strings).tobytes()
 
 
 def test_pauli_strings_cover_all_64(rng):
