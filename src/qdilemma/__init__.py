@@ -23,7 +23,6 @@ from .game import (
 from .linalg import (
     basis_density,
     basis_state,
-    dagger,
     validate_density_matrix,
 )
 from .noise import ancilla_prepare, corrupted_input, theta_for_x
@@ -48,7 +47,6 @@ __all__ = [
     "classical_ne_payoff",
     "corrupted_input",
     "critical_corruption",
-    "dagger",
     "decompose_entangler",
     "dominance",
     "entangler",

@@ -293,9 +293,15 @@ def cmd_tomo(args) -> dict:
         except ValueError as exc:
             raise ValueError(f"{token}: not a JSON file: {exc}") from None
     try:
-        tensor = np.array(doc["results"]["tensor"], dtype=float)
+        cells = doc["results"]["tensor"]
+        tensor = np.array(cells, dtype=float)
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"{token}: does not contain a results.tensor block") from None
+    except OverflowError:
+        raise ValueError(f"{token}: results.tensor holds an integer beyond the float range") from None
+    # numpy would read a string such as "1", or true, as 1.0
+    if not all(type(cell) in (int, float) for cell in np.array(cells, dtype=object).flat):
+        raise ValueError(f"{token}: results.tensor holds a cell that is not a number")
     try:
         rho = tomography.reconstruct(tensor)
     except ValueError as exc:

@@ -35,9 +35,9 @@ PROB_SUM_TOL = 1e-10
 GATES = {"I": I2, "H": H, "X": X}
 #: Each letter's place in ``GATES`` and along the axes of ``_STRATEGIES``.
 _GATE_INDEX = {letter: k for k, letter in enumerate(GATES)}
-#: The players' products ``S1 ⊗ S2 ⊗ S3`` of all 27 profiles, one read-only table
-#: indexed by the three letters' places: one tensor product of the stacked gates.
-_STRATEGIES = kron3(*[np.stack(list(GATES.values()))] * 3).reshape(3, 3, 3, 8, 8)
+#: Columns 0 and 7 of the players' products ``S1 ⊗ S2 ⊗ S3`` of all 27 profiles, one
+#: read-only table indexed by the three letters' places: one tensor product of the stacked gates.
+_STRATEGIES = kron3(*[np.stack(list(GATES.values()))] * 3).reshape(3, 3, 3, 8, 8)[..., [0, 7]]
 _STRATEGIES.flags.writeable = False
 
 
@@ -71,8 +71,8 @@ def check_corruption(x: float) -> float:
     return x
 
 
-#: X⊗X⊗X, the operator the entangler mixes with the identity: the table's XXX entry.
-_XXX = _STRATEGIES[2, 2, 2]
+#: X⊗X⊗X, the operator the entangler mixes with the identity: the reversal of the basis index.
+_XXX = np.eye(8, dtype=complex)[::-1]
 
 
 def entangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
@@ -141,12 +141,13 @@ class PayoffVector:
         return math.ldexp(total / 3, e)
 
 
-def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Full game unitary: J† · (S1 ⊗ S2 ⊗ S3) · J, with J the entangler.
+def amplitudes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
+    """Columns 0 and 7 of the game unitary ``J† · (S1 ⊗ S2 ⊗ S3) · J``, as an 8x2 array:
+    the final states of ``|000>`` and of ``|111>``, which are all the corrupted source feeds.
 
     ``J = cI + isR`` has two terms, with ``R = X⊗X⊗X`` the reversal of the
     basis index, so ``J†S = cS - isRS`` reverses the rows of ``S`` and
-    ``(J†S)J = c(J†S) + is(J†S)R`` its columns; no 8x8 product is taken.
+    ``(J†S)J = c(J†S) + is(J†S)R`` swaps columns 0 and 7; no 8x8 product is taken.
     Each entry sums the same two products as the matrix products do, whose
     other terms are zeros; adding 0.0 turns the -0 that H's kron leaves in
     ``S`` at ``s = 0`` into the +0 that a product's sum ends in.
@@ -154,26 +155,31 @@ def circuit_unitary(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     s1, s2, s3 = profile
     gamma = check_gamma(gamma)
     c, s = np.cos(gamma / 2), np.sin(gamma / 2)
-    strategies = _STRATEGIES[_GATE_INDEX[s1], _GATE_INDEX[s2], _GATE_INDEX[s3]]
-    left = c * strategies - 1j * s * strategies[::-1]
+    columns = _STRATEGIES[_GATE_INDEX[s1], _GATE_INDEX[s2], _GATE_INDEX[s3]]
+    left = c * columns - 1j * s * columns[::-1]
     return left * c + left[:, ::-1] * (1j * s) + 0.0
 
 
 def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Final 3-qubit state of the game circuit on ``rho`` (default pristine ``|000>``)."""
-    if rho is None:
-        rho = linalg.basis_density("000")
-    else:
-        rho = linalg.validate_density_matrix(rho)
-    u = circuit_unitary(profile, gamma)
-    return u @ rho @ u.conj().T
+    """Final 3-qubit state of the game circuit on ``rho = p0|000><000| + p7|111><111|``
+    (default pristine ``|000>``): the rank-2 mixture of the two columns of :func:`amplitudes`."""
+    weights = np.array([1.0, 0.0])
+    if rho is not None:
+        rho = linalg.validate_density_matrix(rho, raw=True).ravel()
+        if rho[1:-1].any():
+            raise ValueError("evolve's input must be p0|000><000| + p7|111><111|")
+        weights = rho[[0, -1]]
+        # the spectrum of such a matrix is p0, p7 and six zeros
+        linalg.check_spectrum(sorted(weights.real))
+    a = amplitudes(profile, gamma)
+    return (a * weights) @ a.conj().T
 
 
 def outcomes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Outcome distributions on ``|000>`` and on ``|111>``, as two rows: the squared
-    magnitudes of the circuit unitary's columns 0 and 7."""
-    u = circuit_unitary(profile, gamma)[:, [0, 7]]
-    return (u.real**2 + u.imag**2).T
+    magnitudes of :func:`amplitudes`."""
+    a = amplitudes(profile, gamma)
+    return (a.real**2 + a.imag**2).T
 
 
 def play(profile, x: float = 0.0, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

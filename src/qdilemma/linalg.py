@@ -39,11 +39,6 @@ def max_abs(a) -> float:
     return float(abs(a).max())
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Tensor product ``a ⊗ b ⊗ c`` by numpy's ``kron``, which works over every axis:
     stacks of matrices give the stack of every triple's product, in row-major order

@@ -36,6 +36,11 @@ NOT_NUMERIC_TENSOR = str(DATA / "tensor_not_numeric.json")
 RAGGED_TENSOR = str(DATA / "tensor_ragged.json")
 SCALAR_TENSOR = str(DATA / "tensor_scalar.json")
 TRACE_TWO_TENSOR = str(DATA / "tensor_trace_two.json")
+#: The tensor of ``tomo forward XIX`` with t[0,0,0] set to the integer 10**400,
+#: to the string "1", and to true: cells that are no float.
+HUGE_INT_TENSOR = str(DATA / "tensor_huge_int.json")
+STRING_CELL_TENSOR = str(DATA / "tensor_string_cell.json")
+BOOL_CELL_TENSOR = str(DATA / "tensor_bool_cell.json")
 #: Matrix files that parse but fail the density-matrix check: Hermitian but
 #: for one off-diagonal entry, and the identity over 4 (trace 2).
 NOT_HERMITIAN_MATRIX = str(DATA / "matrix_not_hermitian.txt")
@@ -553,6 +558,12 @@ class TestSharedFlags:
         pytest.param(["tomo", "reconstruct", SCALAR_TENSOR], SCALAR_TENSOR, id="tensor-wrong-shape"),
         pytest.param(["tomo", "reconstruct", TRACE_TWO_TENSOR], TRACE_TWO_TENSOR,
                      id="tensor-bad-trace"),
+        pytest.param(["tomo", "reconstruct", HUGE_INT_TENSOR], HUGE_INT_TENSOR,
+                     id="tensor-int-beyond-float"),
+        pytest.param(["tomo", "reconstruct", STRING_CELL_TENSOR], STRING_CELL_TENSOR,
+                     id="tensor-string-cell"),
+        pytest.param(["tomo", "reconstruct", BOOL_CELL_TENSOR], BOOL_CELL_TENSOR,
+                     id="tensor-bool-cell"),
         pytest.param(["tomo", "forward", PLAIN_TEXT], PLAIN_TEXT, id="not-a-matrix"),
         pytest.param(["sweep", "x", "--grid", str(MAX_GRID + 1)], "--grid", id="grid-above-cap"),
         pytest.param(["sweep", "x", "--grid", "0"], "--grid", id="empty-grid"),

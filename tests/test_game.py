@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations, product
 
 import numpy as np
@@ -12,8 +13,8 @@ from qdilemma.game import (
     PROB_SUM_TOL,
     PayoffTable,
     PayoffVector,
+    amplitudes,
     check_gamma,
-    circuit_unitary,
     decompose_entangler,
     entangler,
     evolve,
@@ -23,8 +24,8 @@ from qdilemma.game import (
     play,
     rx,
 )
-from qdilemma.linalg import basis_density, basis_state, dagger, kron3, max_abs
-from qdilemma.noise import corrupted_input
+from qdilemma.linalg import basis_density, basis_state, kron3, max_abs
+from qdilemma.noise import ancilla_prepare, corrupted_input
 
 from helpers import global_phase_distance, oracle_circuit, oracle_game_probs, ordered_product
 
@@ -42,37 +43,38 @@ class TestEntangler:
 
     def test_unitary(self):
         j = entangler(np.pi / 2)
-        np.testing.assert_allclose(j @ dagger(j), np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(j @ j.conj().T, np.eye(8), atol=1e-12)
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
             entangler(np.pi)
 
 
-class TestCircuitUnitary:
+class TestAmplitudes:
     @given(gamma=st.floats(0.0, np.pi / 2))
     def test_matches_the_oracle_for_every_profile(self, gamma):
         for letters in product("IHX", repeat=3):
-            assert max_abs(circuit_unitary(letters, gamma) - oracle_circuit(letters, gamma)) <= 1e-15
+            oracle = oracle_circuit(letters, gamma)[:, [0, 7]]
+            assert max_abs(amplitudes(letters, gamma) - oracle) <= 1e-15
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3, 0.7, 1.0, np.pi / 2])
     def test_equals_the_two_matrix_products_bit_for_bit(self, gamma):
         # zeros included: at gamma 0 the products sum H's -0 entries onto +0
         j = entangler(gamma)
         for letters in product("IHX", repeat=3):
-            products = dagger(j) @ kron3(*(GATES[c] for c in letters)) @ j
-            assert circuit_unitary(letters, gamma).tobytes() == products.tobytes()
+            products = j.conj().T @ kron3(*(GATES[c] for c in letters)) @ j
+            assert amplitudes(letters, gamma).tobytes() == products[:, [0, 7]].tobytes()
 
     def test_gamma_out_of_range(self):
         with pytest.raises(ValueError, match="gamma"):
-            circuit_unitary(("H", "I", "X"), np.pi)
+            amplitudes(("H", "I", "X"), np.pi)
 
     def test_a_changed_circuit_leaves_the_next_one_as_it_was(self):
-        # the strategy product is shared between calls, and each circuit is new
-        circuit = circuit_unitary(("H", "I", "X"), 0.7)
-        expected = circuit.tobytes()
-        circuit[:] = 0.0
-        assert circuit_unitary(("H", "I", "X"), 0.7).tobytes() == expected
+        # the strategy columns are shared between calls, and each result is new
+        columns = amplitudes(("H", "I", "X"), 0.7)
+        expected = columns.tobytes()
+        columns[:] = 0.0
+        assert amplitudes(("H", "I", "X"), 0.7).tobytes() == expected
 
 
 class TestCheckGamma:
@@ -99,7 +101,7 @@ class TestGates:
     def test_all_strategies_unitary(self):
         assert list(GATES) == ["I", "H", "X"]
         for u in GATES.values():
-            np.testing.assert_allclose(u @ dagger(u), np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
     # parse_profile is the one letter rule; a tuple that bypasses it meets the table's KeyError
     @pytest.mark.parametrize("function", [outcomes, play, evolve])
@@ -113,12 +115,13 @@ class TestGates:
                 function(profile)
             assert raised.value.args == (unknown,)
 
-    def test_strategy_table_holds_each_profiles_product_bit_for_bit(self):
+    def test_strategy_table_holds_each_profiles_columns_bit_for_bit(self):
         table = game._STRATEGIES
-        assert table.shape == (3, 3, 3, 8, 8) and not table.flags.writeable
+        assert table.shape == (3, 3, 3, 8, 2) and not table.flags.writeable
         for (i, a), (j, b), (k, c) in product(enumerate(GATES), repeat=3):
-            assert table[i, j, k].tobytes() == kron3(GATES[a], GATES[b], GATES[c]).tobytes()
-        # the entangler's X⊗X⊗X is the table's XXX entry
+            product_columns = kron3(GATES[a], GATES[b], GATES[c])[:, [0, 7]]
+            assert table[i, j, k].tobytes() == product_columns.tobytes()
+        # the entangler's X⊗X⊗X, the reversal of the basis index
         assert game._XXX.tobytes() == kron3(GATES["X"], GATES["X"], GATES["X"]).tobytes()
 
 
@@ -325,7 +328,7 @@ class TestDecomposition:
 
     def test_product_unitary(self):
         u = ordered_product(decompose_entangler())
-        np.testing.assert_allclose(u @ dagger(u), np.eye(8), atol=1e-12)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
 
     def test_rotation_phase_convention(self):
         psi = rx(-np.pi / 2) @ basis_state("0")
@@ -362,3 +365,50 @@ class TestEvolve:
         np.testing.assert_allclose(
             evolve(parse_profile("XIX")), basis_density("101"), atol=1e-12
         )
+
+    # the source emits |000> or |111>, so no other entry of its state may be set
+    @pytest.mark.parametrize("rho", [
+        pytest.param(basis_density("101"), id="basis-101"),
+        pytest.param(np.eye(8) / 8, id="maximally-mixed"),
+        pytest.param(corrupted_input(0.3) + 1e-300 * np.outer(basis_state("011"), basis_state("101")),
+                     id="off-entry-1e-300"),
+    ])
+    def test_refuses_any_input_but_the_corrupted_source(self, rho):
+        with pytest.raises(ValueError) as raised:
+            evolve(parse_profile("HIX"), rho)
+        assert str(raised.value) == "evolve's input must be p0|000><000| + p7|111><111|"
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("source", [corrupted_input, ancilla_prepare])
+    def test_matches_the_oracle_on_the_corrupted_source(self, source, x):
+        # as perfbench's tomo workload calls it, and on the hardware preparation, whose
+        # other entries are exact zeros
+        rho = source(x)
+        for letters in product("IHX", repeat=3):
+            u = oracle_circuit(letters, 0.7)
+            assert max_abs(evolve(letters, rho, 0.7) - u @ rho @ u.conj().T) <= 1e-15
+
+    def test_negative_weight_is_a_negative_eigenvalue(self):
+        rho = np.diag(np.r_[1.5, np.zeros(6), -0.5]).astype(complex)
+        with pytest.raises(ValueError, match=r"^density matrix has negative eigenvalue -5\.000e-01$"):
+            evolve(parse_profile("HIX"), rho)
+
+    @pytest.mark.parametrize("source", [corrupted_input, ancilla_prepare])
+    def test_leaves_its_argument_as_it_was(self, source):
+        rho = source(0.3)
+        expected = rho.tobytes()
+        evolve(parse_profile("HIX"), rho, 0.7)
+        assert rho.tobytes() == expected
+
+    def test_golden_digest(self):
+        # SHA-256 of the final states' bytes over 27 profiles x 4 gammas, on the
+        # corrupted source at three x and on the default input; captured when
+        # evolve still conjugated its input by the 8x8 game unitary
+        digest = hashlib.sha256()
+        for letters in product("IHX", repeat=3):
+            for gamma in (0.0, 0.3, 1.0, np.pi / 2):
+                for x in (0.0, 0.3, 1.0):
+                    digest.update(evolve(letters, corrupted_input(x), gamma).tobytes())
+                digest.update(evolve(letters, None, gamma).tobytes())
+        assert digest.hexdigest() == (
+            "3c9d6ef0bfcaaa987e7d6fc5c1f505e1f88196c801efedf369daf29cfebd21e0")

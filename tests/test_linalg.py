@@ -14,11 +14,9 @@ from qdilemma.linalg import (
     check_spectrum,
     clamp_spectrum,
     cnot,
-    dagger,
     kron3,
     validate_density_matrix,
 )
-from qdilemma.game import entangler, rx
 
 from helpers import random_mixed_density
 
@@ -94,18 +92,6 @@ class TestCnot:
     def test_rejects_a_repeated_or_outside_qubit(self, control, target, qubits):
         with pytest.raises(ValueError, match="^cnot needs two distinct qubits of a"):
             cnot(control, target, qubits)
-
-
-class TestDagger:
-    def test_identity(self):
-        np.testing.assert_array_equal(dagger(linalg.I2), linalg.I2)
-
-    def test_rotation_inverse(self):
-        np.testing.assert_allclose(dagger(rx(-np.pi / 2)), rx(np.pi / 2), atol=1e-15)
-
-    def test_entangler_unitarity(self):
-        j = entangler(np.pi / 2)
-        np.testing.assert_allclose(dagger(j) @ j, np.eye(8), atol=1e-12)
 
 
 class TestCheckSpectrum:

@@ -13,7 +13,7 @@ import pytest
 
 from qdilemma import analysis, cli, game, linalg, tomography
 from qdilemma.game import PayoffTable, evolve, parse_profile
-from qdilemma.noise import corrupted_input
+from qdilemma.noise import ancilla_prepare, corrupted_input
 
 from helpers import subprocess_env
 
@@ -70,17 +70,19 @@ def test_one_binomial_call_per_estimate(monkeypatch):
     (tomography.expectations, 1),
     (lambda rho: tomography.fidelity(rho, rho), 2),
     (tomography.project_to_physical, 1),
-], ids=["estimate_expectations", "expectations", "fidelity", "project_to_physical"])
+    (lambda rho: evolve(parse_profile("HIX"), rho, 0.7), 1),
+], ids=["estimate_expectations", "expectations", "fidelity", "project_to_physical", "evolve"])
 def test_each_state_checked_once_per_public_call(monkeypatch, call, checks):
+    # game looks the check up in linalg, and tomography holds its own name for it
     calls = []
-    validate = tomography.validate_density_matrix
+    for module in (linalg, tomography):
+        def counting(*args, _original=module.validate_density_matrix, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return validate(*args, **kwargs)
-
-    monkeypatch.setattr(tomography, "validate_density_matrix", counting)
-    call(evolve(parse_profile("HIX")))
+        monkeypatch.setattr(module, "validate_density_matrix", counting)
+    # the corrupted source's state, the one input every one of these takes
+    call(corrupted_input(0.3))
     assert len(calls) == checks
 
 
@@ -127,6 +129,20 @@ def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
         assert shapes == [(8, 8)]
 
 
+def test_evolve_runs_no_eigensolver(monkeypatch):
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    # the input's spectrum is its two weights and six zeros, so none is computed
+    for rho in (None, corrupted_input(0.3), ancilla_prepare(0.3)):
+        evolve(parse_profile("HIX"), rho, 0.7)
+    assert shapes == []
+
+
 def run_counting_kron(script):
     """Run ``script`` in a fresh interpreter whose ``np.kron`` appends the
     dimensions of its two factors to ``dims``, so that the module-level
@@ -159,7 +175,7 @@ def test_no_kron_on_a_circuits_first_use():
         "for profile in product('IHX', repeat=3):\n"
         "    for gamma in (0.0, 0.7, np.pi / 2):\n"
         "        game.outcomes(profile, gamma)\n"
-        "        game.circuit_unitary(profile, gamma)\n"
+        "        game.amplitudes(profile, gamma)\n"
         "        game.evolve(profile, corrupted_input(0.3), gamma)\n"
         "print(dims)\n"
     )
@@ -271,8 +287,8 @@ def test_one_parser_per_process():
     (["play", "HIX", "--x", "0.3"], 1),
 ])
 def test_one_circuit_per_profile_and_no_density_matrix(monkeypatch, tmp_path, argv, circuits):
-    counts = {"circuit_unitary": 0, "validate_density_matrix": 0}
-    for module, name in ((game, "circuit_unitary"), (linalg, "validate_density_matrix")):
+    counts = {"amplitudes": 0, "validate_density_matrix": 0}
+    for module, name in ((game, "amplitudes"), (linalg, "validate_density_matrix")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -281,5 +297,5 @@ def test_one_circuit_per_profile_and_no_density_matrix(monkeypatch, tmp_path, ar
 
         monkeypatch.setattr(module, name, counting)
     assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == 0
-    # both outcome rows of a profile come from one circuit, and no 8x8 input is checked
-    assert counts == {"circuit_unitary": circuits, "validate_density_matrix": 0}
+    # both outcome rows of a profile come from one circuit's two columns, and no 8x8 input is checked
+    assert counts == {"amplitudes": circuits, "validate_density_matrix": 0}

@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdilemma import linalg
-from qdilemma.game import circuit_unitary, evolve, parse_profile
-from qdilemma.linalg import basis_density, dagger, kron3, max_abs, validate_density_matrix
+from qdilemma.game import amplitudes, evolve, parse_profile
+from qdilemma.linalg import basis_density, kron3, max_abs, validate_density_matrix
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
     _PAULI,
@@ -101,7 +101,7 @@ class TestReconstruct:
     def test_tensor_round_trip(self, rng):
         # any Hermitian unit-trace matrix induces a consistent tensor
         a = crandn((8, 8), rng)
-        raw = (a + dagger(a)) / 2
+        raw = (a + a.conj().T) / 2
         raw = raw / np.trace(raw).real
         t = expectations(raw)
         np.testing.assert_allclose(expectations(reconstruct(t)), t, atol=1e-12)
@@ -275,7 +275,7 @@ def unit_vector(rng):
 #: A unit vector: a random one, or the pure game state on the pristine input.
 unit_vectors = st.one_of(
     st.integers(0, 2**32 - 1).map(lambda s: unit_vector(np.random.default_rng(s))),
-    st.builds(lambda letters, gamma: circuit_unitary(letters, gamma)[:, 0],
+    st.builds(lambda letters, gamma: amplitudes(letters, gamma)[:, 0],
               st.tuples(*[st.sampled_from("IHX")] * 3), st.floats(0.0, np.pi / 2)),
 )
 
@@ -366,7 +366,7 @@ class TestFidelity:
     @given(rho=st.one_of(physical_states, raw_states), psi=unit_vectors)
     # the overlap is -0.463, so the fidelity is exactly 0, not the root of rounding dust
     @example(rho=load_reference_state("class7_appendix"),
-             psi=circuit_unitary(("H", "I", "H"), 1.0)[:, 0])
+             psi=amplitudes(("H", "I", "H"), 1.0)[:, 0])
     def test_pure_target_gives_the_root_of_the_overlap(self, rho, psi):
         target = np.outer(psi, psi.conj())
         with warnings.catch_warnings():
@@ -379,7 +379,7 @@ class TestFidelity:
     # against this rank-2 target the block is singular and its other eigenvalue
     # is 0.0039, so the dust beside it is above 8 eps of it
     @example(sigma=evolve(("I", "I", "H"), corrupted_input(0.984375), 1.0),
-             psi=circuit_unitary(("H", "H", "H"), 1.0)[:, 0])
+             psi=amplitudes(("H", "H", "H"), 1.0)[:, 0])
     # both are the pure state of this seed, whose eigenpair from eigh gives
     # w |v|² 7.5 eps short of 1 = <psi|sigma|psi>: the fidelity squared is 8.5 eps short
     @example(sigma=random_pure_density(np.random.default_rng(713272268)),
@@ -514,7 +514,7 @@ EIGVALSH_EPS = 8
 class TestBlockSpectrum:
     def assert_matches_eigvalsh(self, block):
         spectrum = np.asarray(_block_spectrum(block))
-        reference = np.linalg.eigvalsh((block + dagger(block)) / 2)
+        reference = np.linalg.eigvalsh((block + block.conj().T) / 2)
         if len(block) == 1:
             # the real part, which is what eigvalsh returns for the Hermitian part
             assert spectrum.tobytes() == reference.tobytes()
@@ -603,7 +603,7 @@ class TestLoadReferenceState:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rho = load_reference_state("class7_appendix")
-        assert max_abs(rho - dagger(rho)) == 0.0
+        assert max_abs(rho - rho.conj().T) == 0.0
         assert np.trace(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_not_positive_as_printed(self):
@@ -660,7 +660,7 @@ def random_raw_density(rng):
     """A Hermitian unit-trace matrix that is mostly not positive: a mixed state
     plus a traceless Hermitian kick."""
     a = crandn((8, 8), rng)
-    kick = (a + dagger(a)) / 2
+    kick = (a + a.conj().T) / 2
     kick -= np.trace(kick).real / 8 * np.eye(8)
     return random_mixed_density(rng) + 0.2 * kick
 
