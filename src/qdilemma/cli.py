@@ -257,9 +257,11 @@ def _resolve_state(token: str, args, role: str = "STATE", raw: bool = True) -> n
             f"cannot resolve state {token!r}: not a profile, bundled reference state, or file"
         )
     try:
-        return linalg.validate_density_matrix(rho, raw)
+        rho = linalg.validate_density_matrix(rho, raw)
     except ValueError as exc:
         raise ValueError(f"{role} {token}: {exc}") from None
+    # checked here, so the function that reads it checks it no more
+    return linalg.record_state(rho, physical=not raw)
 
 
 def _tensor_payload(args, t: np.ndarray, token: str) -> dict:
@@ -290,7 +292,8 @@ def cmd_tomo(args) -> dict:
     with open(token, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:
+        # nesting deeper than the interpreter's recursion limit ends the decoder's descent
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{token}: not a JSON file: {exc}") from None
     try:
         cells = doc["results"]["tensor"]

@@ -172,7 +172,9 @@ def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA)
         # the spectrum of such a matrix is p0, p7 and six zeros
         linalg.check_spectrum(sorted(weights.real))
     a = amplitudes(profile, gamma)
-    return (a * weights) @ a.conj().T
+    # Hermitian with unit trace to the input's rounding, which one raw check bounds,
+    # and positive with the input's two weights
+    return linalg.record_state(linalg.validate_density_matrix((a * weights) @ a.conj().T, raw=True))
 
 
 def outcomes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

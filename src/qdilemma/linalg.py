@@ -8,6 +8,7 @@ string ``b0 b1 b2`` (player 1 / qubit 0 leftmost) maps to index
 from __future__ import annotations
 
 import warnings
+import weakref
 
 import numpy as np
 
@@ -95,13 +96,48 @@ def _check_finite(rho: np.ndarray) -> None:
         raise ValueError("density matrix has non-finite entries")
 
 
+#: The states the package made valid, by ``id``: a weak reference to the array, whether
+#: it is physical rather than only raw, and its bytes.  An entry dies with its array.
+_RECORD = {}
+
+
+def record_state(rho: np.ndarray, physical: bool = True) -> np.ndarray:
+    """Record ``rho``, an 8x8 complex array the package made or checked valid, and return it.
+
+    While it is that array, of that shape and dtype and holding those bytes,
+    :func:`validate_density_matrix` passes it without checking it again: as
+    a raw state, and also as a physical one if it was recorded ``physical``.
+    The record keeps no array alive: the entry is deleted when its array dies.
+    """
+    key = id(rho)
+
+    def forget(ref):
+        # only this array's own entry, never a newer array's under the same id
+        if _RECORD.get(key, (None,))[0] is ref:
+            del _RECORD[key]
+
+    _RECORD[key] = (weakref.ref(rho, forget), physical, rho.tobytes())
+    return rho
+
+
 def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     """Check the invariants of a 3-qubit density matrix and return it as a complex array.
 
     Finite entries, an 8x8 shape, Hermiticity and unit trace are always
     enforced; positivity (:func:`check_spectrum`) is skipped for ``raw``
-    states such as linear-inversion tomography output.
+    states such as linear-inversion tomography output.  A state recorded by
+    :func:`record_state` that has not changed since is returned at once; any
+    other array, a changed recorded one included, is checked in full.
     """
+    entry = _RECORD.get(id(rho))
+    if (entry is not None and entry[0]() is rho and (raw or entry[1])
+            and rho.shape == (8, 8) and rho.dtype == complex and rho.tobytes() == entry[2]):
+        return rho
+    return _check_density_matrix(rho, raw)
+
+
+def _check_density_matrix(rho, raw: bool) -> np.ndarray:
+    """The full check of :func:`validate_density_matrix`."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         _check_finite(rho)
@@ -137,4 +173,4 @@ def basis_state(bits: str) -> np.ndarray:
 def basis_density(bits: str) -> np.ndarray:
     """Projector |bits><bits| as a density matrix."""
     psi = basis_state(bits)
-    return np.outer(psi, psi.conj())
+    return record_state(np.outer(psi, psi.conj()))

@@ -20,7 +20,7 @@ def corrupted_input(x: float) -> np.ndarray:
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0 - x
     rho[7, 7] = x
-    return rho
+    return linalg.record_state(rho)
 
 
 def theta_for_x(x: float) -> float:

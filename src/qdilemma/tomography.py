@@ -24,7 +24,7 @@ from importlib import resources
 import numpy as np
 
 from .linalg import (DUST_RTOL, PAULIS, TOL, check_spectrum, clamp_spectrum, kron3,
-                     validate_density_matrix)
+                     record_state, validate_density_matrix)
 
 #: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k, flattened into rows in row-major (i, j, k) order.
 _PAULI = kron3(*[np.stack(PAULIS)] * 3).reshape(64, 64)
@@ -202,7 +202,8 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     rho = validate_density_matrix(rho, raw=True)
     w, v = np.linalg.eigh(rho)
     out = (v * np.maximum(w, 0.0)) @ v.conj().T
-    return out / out.trace().real
+    # physical by construction: its residual and trace error are rounding, far inside TOL
+    return record_state(out / out.trace().real)
 
 
 #: Names of the bundled reconstructed states.

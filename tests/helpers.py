@@ -174,3 +174,42 @@ def reference_fidelity(rho, sigma):
     else:
         spectrum = np.linalg.eigvalsh((block + block.conj().T) / 2)
     return float(np.sqrt(np.where(spectrum > DUST_RTOL * w[-1], spectrum, 0.0)).sum())
+
+
+def count_full_checks(monkeypatch):
+    """Collect, in the returned list, each array that ``validate_density_matrix`` checks
+    in full; a state the package recorded and that has not changed passes without that work."""
+    from qdilemma import linalg
+
+    checked = []
+    original = linalg._check_density_matrix
+
+    def counting(rho, raw):
+        checked.append(rho)
+        return original(rho, raw)
+
+    monkeypatch.setattr(linalg, "_check_density_matrix", counting)
+    return checked
+
+
+def tomography_request(state, shots=8192, seed=0):
+    """One request of the repeated-tomography path, as a tuple of its arrays and its fidelity.
+
+    ``state`` is a game state's ``(profile, x, gamma)``, evolved from the
+    corrupted source, estimated at ``shots`` and repaired, with fidelity to
+    itself; or a raw state, whose exact tensor stands in for measured data,
+    with the fidelity of its reconstruction to ``|101>``.
+    """
+    from qdilemma import game, linalg, noise, tomography
+
+    raw = not isinstance(state, tuple)
+    if raw:
+        rho, target = state, linalg.basis_density("101")
+    else:
+        profile, x, gamma = state
+        rho = target = game.evolve(profile, noise.corrupted_input(x), gamma)
+    exact = tomography.expectations(rho)
+    data = exact if raw else tomography.estimate_expectations(rho, shots, seed)
+    recon = tomography.reconstruct(data)
+    physical = tomography.project_to_physical(recon)
+    return rho, exact, data, recon, physical, tomography.fidelity(recon if raw else physical, target)

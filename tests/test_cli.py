@@ -296,6 +296,15 @@ class TestTomo:
         assert real[5, 5] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(imag)) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reconstruct_refuses_json_nested_past_the_recursion_limit(self, capsys, tmp_path, fmt):
+        # 10 KB of nesting, past the depth at which the decoder's recursion stops
+        path = tmp_path / "deep.json"
+        path.write_text('{"results": {"tensor": ' + "[" * 5000 + "]" * 5000 + "}}", encoding="utf-8")
+        code, out, err = run(capsys, "tomo", "reconstruct", str(path), "--format", fmt)
+        assert_one_error(code, out, err, f"error: {path}: not a JSON file: maximum recursion depth")
+        assert code == 2
+
     def test_unresolvable_state_fails(self, capsys):
         code, _, err = run(capsys, "tomo", "forward", "no_such_thing")
         assert code != 0

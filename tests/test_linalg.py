@@ -1,12 +1,18 @@
+import gc
+import sys
+import threading
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qdilemma import linalg
+from qdilemma.game import evolve, parse_profile
 from qdilemma.linalg import (
     ClampWarning,
     basis_density,
@@ -15,10 +21,13 @@ from qdilemma.linalg import (
     clamp_spectrum,
     cnot,
     kron3,
+    record_state,
     validate_density_matrix,
 )
+from qdilemma.noise import ancilla_prepare, corrupted_input
+from qdilemma.tomography import load_reference_state, project_to_physical
 
-from helpers import random_mixed_density
+from helpers import count_full_checks, random_mixed_density, tomography_request
 
 
 class TestKron:
@@ -291,3 +300,184 @@ class TestBasisStates:
     def test_rejects_non_bits(self):
         with pytest.raises(ValueError, match="bit string"):
             basis_state("10X")
+
+
+#: A state each producer makes and records as physical.
+MADE_STATES = {
+    "basis_density": lambda: basis_density("101"),
+    "corrupted_input": lambda: corrupted_input(0.3),
+    "evolve": lambda: evolve(parse_profile("HIX"), corrupted_input(0.3), 0.7),
+    "project_to_physical": lambda: project_to_physical(load_reference_state("class7_appendix")),
+}
+
+
+def set_entry(rho):
+    rho[0, 1] += 0.5
+
+
+def set_negative_spectrum(rho):
+    # still a raw state, but no longer a physical one
+    rho[...] = np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0])
+
+
+def set_shape(rho):
+    rho.shape = (64,)
+
+
+def set_dtype(rho):
+    rho.dtype = np.float64
+
+
+def set_byte_order(rho):
+    # the same shape and bytes, read as other numbers
+    rho.dtype = rho.dtype.newbyteorder()
+
+
+def check_outcome(rho, raw):
+    """The check's message for ``rho``, or None where it passes."""
+    try:
+        validate_density_matrix(rho, raw)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def is_recorded_physical(rho):
+    entry = linalg._RECORD.get(id(rho))
+    return entry is not None and entry[0]() is rho and entry[1]
+
+
+class TestRecordedStates:
+    @pytest.mark.parametrize("make", MADE_STATES.values(), ids=MADE_STATES)
+    def test_a_made_state_is_recorded_and_passes_unchecked(self, monkeypatch, make):
+        rho = make()
+        checked = count_full_checks(monkeypatch)
+        assert is_recorded_physical(rho)
+        for raw in (False, True):
+            assert validate_density_matrix(rho, raw) is rho
+        assert checked == []
+
+    @pytest.mark.parametrize("change", [set_entry, set_negative_spectrum, set_shape, set_dtype, set_byte_order],
+                             ids=["entry", "negative-spectrum", "shape", "dtype", "byte-order"])
+    @pytest.mark.parametrize("make", MADE_STATES.values(), ids=MADE_STATES)
+    def test_a_changed_made_state_gets_the_full_check(self, make, change):
+        rho = make()
+        change(rho)
+        copy = np.array(rho)  # a plain array, checked in full
+        assert check_outcome(copy, raw=False) is not None
+        assert [check_outcome(rho, raw) for raw in (False, True)] == [
+            check_outcome(copy, raw) for raw in (False, True)]
+
+    def test_a_state_recorded_raw_is_checked_in_full_as_a_physical_one(self, monkeypatch):
+        rho = record_state(load_reference_state("class7_appendix"), physical=False)
+        checked = count_full_checks(monkeypatch)
+        assert validate_density_matrix(rho, raw=True) is rho
+        assert checked == []
+        with pytest.raises(ValueError, match=r"^density matrix has negative eigenvalue -1\.083e\+00$"):
+            validate_density_matrix(rho)
+        assert checked == [rho]
+
+    def test_a_copy_or_view_of_a_made_state_is_checked_in_full(self, monkeypatch):
+        rho = corrupted_input(0.3)
+        checked = count_full_checks(monkeypatch)
+        for other in (np.array(rho), rho[:], rho.T):
+            validate_density_matrix(other)
+        assert len(checked) == 3
+
+    def test_an_entry_that_is_not_the_arrays_own_does_not_pass_it(self, monkeypatch):
+        # as if another array had died under this id and its entry had stayed:
+        # the same bytes, but not this array's own reference
+        rho = np.eye(8, dtype=complex) / 8
+        rho[0, 1] = 0.5
+        other = np.array(rho)
+        monkeypatch.setitem(linalg._RECORD, id(rho), (weakref.ref(other), True, rho.tobytes()))
+        with pytest.raises(ValueError, match=r"^density matrix is not Hermitian$"):
+            validate_density_matrix(rho, raw=True)
+
+    def test_an_entrys_callback_deletes_only_its_own_entry(self):
+        rho = corrupted_input(0.3)
+        old = linalg._RECORD[id(rho)]
+        record_state(rho)
+        newer = linalg._RECORD[id(rho)]
+        # the old entry's callback, run late, as if its own array had died after the newer entry was made
+        old[0].__callback__(old[0])
+        assert linalg._RECORD[id(rho)] is newer
+        del rho
+        assert not any(entry is newer for entry in linalg._RECORD.values())
+
+    @given(profile=st.tuples(*[st.sampled_from("IHX")] * 3), gamma=st.floats(0.0, np.pi / 2),
+           x=st.floats(0.0, 1.0), source=st.sampled_from(["corrupted", "ancilla", "default"]))
+    def test_every_evolved_state_passes_the_full_check(self, profile, gamma, x, source):
+        rho = {"corrupted": corrupted_input, "ancilla": ancilla_prepare,
+               "default": lambda x: None}[source](x)
+        out = evolve(profile, rho, gamma)
+        assert is_recorded_physical(out)
+        validate_density_matrix(np.array(out))
+
+    @given(upper=st.lists(st.complex_numbers(max_magnitude=1e8, allow_nan=False, allow_infinity=False),
+                          min_size=28, max_size=28),
+           diagonal=st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3))
+    def test_every_repaired_state_passes_the_full_check(self, upper, diagonal):
+        # a raw state with entries up to 1e8: each pair of opposite diagonal
+        # entries sums to 0 exactly, and the two halves to 1
+        raw = np.zeros((8, 8), dtype=complex)
+        raw[np.triu_indices(8, 1)] = upper
+        raw += raw.conj().T
+        a, b, c = diagonal
+        raw[np.diag_indices(8)] = [a, b, c, 0.5, -a, -b, -c, 0.5]
+        assume(check_outcome(raw, raw=True) is None)
+        out = project_to_physical(raw)
+        assert is_recorded_physical(out)
+        validate_density_matrix(np.array(out))
+
+    def test_the_record_holds_only_live_states(self):
+        gc.collect()
+        before = dict(linalg._RECORD)
+
+        def added():
+            return [entry[0]() for key, entry in linalg._RECORD.items() if before.get(key) is not entry]
+
+        requests = [(profile, x, gamma) for profile in product("IHX", repeat=3)
+                    for x in (0.0, 0.3, 1.0) for gamma in (0.0, 0.7, np.pi / 2)]
+        class7 = load_reference_state("class7_appendix")
+        kept = None
+        for k in range(1000):
+            kept = tomography_request(requests[k % len(requests)] if k % 5 else class7, seed=k)
+        gc.collect()
+        # the last request's made states, its evolved state and its repair, and no other
+        assert all(entry[0]() is not None for entry in linalg._RECORD.values())
+        assert sorted(map(id, added())) == sorted(id(a) for a in kept[:-1] if is_recorded_physical(a))
+        assert len(added()) == 2
+        del kept
+        gc.collect()
+        assert added() == []
+
+    def test_threads_give_the_serial_outputs_bit_for_bit(self):
+        class7 = load_reference_state("class7_appendix")
+        requests = [((profile, x, gamma), seed) for seed, (profile, x, gamma) in enumerate(
+            zip(product("IHX", repeat=3), np.linspace(0.0, 1.0, 27), np.linspace(0.0, np.pi / 2, 27)))]
+        requests += [(class7, 0)] * 5
+
+        def outputs(request):
+            state, seed = request
+            *arrays, fidelity = tomography_request(state, seed=seed)
+            return [a.tobytes() for a in arrays] + [fidelity]
+
+        serial = [outputs(request) for request in requests]
+        start = threading.Barrier(4)
+
+        def worker(offset):
+            start.wait()
+            order = list(range(offset, len(requests))) + list(range(offset))
+            return [(i, outputs(requests[i])) for _ in range(5) for i in order]
+
+        # more threads than cores, switching often, so that records and checks interleave
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = [pair for part in pool.map(worker, range(4), timeout=300) for pair in part]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 4 * 5 * len(requests)
+        assert all(got == serial[i] for i, got in results)

@@ -15,7 +15,7 @@ from qdilemma import analysis, cli, game, linalg, tomography
 from qdilemma.game import PayoffTable, evolve, parse_profile
 from qdilemma.noise import ancilla_prepare, corrupted_input
 
-from helpers import subprocess_env
+from helpers import count_full_checks, subprocess_env, tomography_request
 
 #: The maximally mixed state plus 0.45e-12j · I⊗I⊗X, a raw state that passes the check.
 NEAR_HERMITIAN_MATRIX = Path(__file__).with_name("data") / "matrix_near_hermitian.txt"
@@ -65,62 +65,88 @@ def test_one_binomial_call_per_estimate(monkeypatch):
     assert len(draws) == 1
 
 
-@pytest.mark.parametrize("call, checks", [
-    (lambda rho: tomography.estimate_expectations(rho, 8192, 7), 1),
-    (tomography.expectations, 1),
-    (lambda rho: tomography.fidelity(rho, rho), 2),
-    (tomography.project_to_physical, 1),
-    (lambda rho: evolve(parse_profile("HIX"), rho, 0.7), 1),
-], ids=["estimate_expectations", "expectations", "fidelity", "project_to_physical", "evolve"])
-def test_each_state_checked_once_per_public_call(monkeypatch, call, checks):
-    # game looks the check up in linalg, and tomography holds its own name for it
-    calls = []
-    for module in (linalg, tomography):
-        def counting(*args, _original=module.validate_density_matrix, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+def count_eigensolvers(monkeypatch):
+    """Collect, in the returned list, the shape of each matrix handed to ``eigh`` or ``eigvalsh``."""
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
 
-        monkeypatch.setattr(module, "validate_density_matrix", counting)
-    # the corrupted source's state, the one input every one of these takes
-    call(corrupted_input(0.3))
-    assert len(calls) == checks
+        monkeypatch.setattr(np.linalg, name, counting)
+    return shapes
+
+
+@pytest.mark.parametrize("call, takes, makes", [
+    (lambda rho: tomography.estimate_expectations(rho, 8192, 7), 1, 0),
+    (tomography.expectations, 1, 0),
+    (lambda rho: tomography.fidelity(rho, rho), 2, 0),
+    (tomography.project_to_physical, 1, 0),
+    (lambda rho: evolve(parse_profile("HIX"), rho, 0.7), 1, 1),
+], ids=["estimate_expectations", "expectations", "fidelity", "project_to_physical", "evolve"])
+@pytest.mark.parametrize("made", [False, True], ids=["plain", "made"])
+def test_each_state_checked_once_per_public_call(monkeypatch, call, takes, makes, made):
+    # the corrupted source's state, the one input every one of these takes: as
+    # the package made it, or as a caller's plain copy of it
+    rho = corrupted_input(0.3) if made else np.array(corrupted_input(0.3))
+    checked = count_full_checks(monkeypatch)
+    call(rho)
+    # a caller's array is checked once for each argument it is, and a state the
+    # package made not at all; evolve checks the state it makes, raw, once
+    assert sum(state is rho for state in checked) == (0 if made else takes)
+    assert len(checked) == (0 if made else takes) + makes
 
 
 @pytest.mark.parametrize("argv, checks", [
-    (["tomo", "forward", "class7_appendix"], 2),
-    (["tomo", "forward", str(NEAR_HERMITIAN_MATRIX)], 2),
-    (["tomo", "fidelity", "class7_appendix", "101"], 3),
-    (["tomo", "fidelity", "XIX", "101"], 3),
-], ids=["forward-bundled", "forward-file", "fidelity-bundled", "fidelity-profile"])
-def test_cli_checks_a_bundled_or_file_state_once_more(monkeypatch, tmp_path, argv, checks):
-    # cli and game look the check up in linalg, and tomography holds its own name for it
-    calls = []
-    for module in (linalg, tomography):
-        def counting(*args, _original=module.validate_density_matrix, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, "validate_density_matrix", counting)
+    (["tomo", "forward", "class7_appendix"], 1),
+    (["tomo", "forward", str(NEAR_HERMITIAN_MATRIX)], 1),
+    (["tomo", "fidelity", "class7_appendix", "101"], 1),
+    (["tomo", "fidelity", "XIX", "101"], 1),
+    (["tomo", "fidelity", str(NEAR_HERMITIAN_MATRIX), str(NEAR_HERMITIAN_MATRIX)], 2),
+    (["tomo", "estimate", "XIX"], 1),
+], ids=["forward-bundled", "forward-file", "fidelity-bundled", "fidelity-profile", "fidelity-files",
+        "estimate-profile"])
+def test_cli_checks_each_state_once(monkeypatch, tmp_path, argv, checks):
+    checked = count_full_checks(monkeypatch)
     assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == 0
     # a bundled or file state is checked by the CLI, to name its role and token,
-    # and again by the function that reads it; a profile's state is evolved from
-    # a checked input, and a basis target is checked by fidelity alone
-    assert len(calls) == checks
+    # and not again by the function that reads it; a profile's state is checked
+    # once, by evolve, which makes it from the recorded source, and a basis
+    # target is recorded as it is made
+    assert len(checked) == checks
+
+
+@pytest.mark.parametrize("state, checks", [
+    (("HIX", 0.3, 0.7), 2),
+    ("class7_appendix", 3),
+], ids=["game", "raw"])
+def test_a_tomography_request_checks_each_state_once(monkeypatch, state, checks):
+    if state == "class7_appendix":
+        state = tomography.load_reference_state(state)
+    checked = count_full_checks(monkeypatch)
+    shapes = count_eigensolvers(monkeypatch)
+    tomography_request(state)
+    # a game request checks evolve's output and the raw reconstruction that
+    # project_to_physical takes; a raw request checks the caller's state and the
+    # reconstruction, once for each public function that takes it from the caller
+    assert len(checked) == checks
+    # the repair's eigendecomposition and fidelity's, of its target
+    assert shapes == [(8, 8), (8, 8)]
+
+
+def test_estimate_of_an_evolved_state_runs_no_eigensolver(monkeypatch):
+    rho = evolve(parse_profile("HIX"), corrupted_input(0.3), 0.7)
+    shapes = count_eigensolvers(monkeypatch)
+    # evolve recorded its state as physical, so the estimator's physical check is not redone
+    tomography.estimate_expectations(rho, 8192, 7)
+    assert shapes == []
 
 
 def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
     # a raw reconstruction, as in repeated tomography
     state = tomography.reconstruct(tomography.estimate_expectations(
         evolve(parse_profile("HIX"), corrupted_input(0.3)), 8192, 7))
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counting(a, *args, _original=original, **kwargs):
-            shapes.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    shapes = count_eigensolvers(monkeypatch)
     # a rank-2 game target and a basis target: one 8x8 eigendecomposition of
     # the target, and the block on its support, of size its rank, in closed form
     for target in (evolve(parse_profile("XIX"), corrupted_input(0.3)), linalg.basis_density("101")):
@@ -130,13 +156,7 @@ def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
 
 
 def test_evolve_runs_no_eigensolver(monkeypatch):
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
-            shapes.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    shapes = count_eigensolvers(monkeypatch)
     # the input's spectrum is its two weights and six zeros, so none is computed
     for rho in (None, corrupted_input(0.3), ancilla_prepare(0.3)):
         evolve(parse_profile("HIX"), rho, 0.7)
