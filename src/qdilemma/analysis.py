@@ -12,7 +12,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .game import DEFAULT_GAMMA, PayoffTable, check_corruption, check_gamma, outcomes, payoff, play
+from .game import (DEFAULT_GAMMA, MAX_STAKE, PayoffTable, check_corruption, check_gamma, outcomes,
+                   payoff, play)
 
 #: Census label of each strategy class and its multiset as a sorted letter
 #: triple.  Two ties in the reference payoffs are settled by convention: the
@@ -65,26 +66,11 @@ def simulated_class_mean(multiset, table: PayoffTable, x: float = 0.0,
     return payoff(play(multiset, x, gamma), table).mean
 
 
-def _scaled_stakes(p, q, n):
-    """``p, q, n`` times ``2**-e``, with ``e`` the binary exponent of ``n``, and ``e``.
-
-    The stakes are floats or float arrays alike, not ints (``np.ldexp`` of a
-    Python int may return a half-precision float).  The scaled ``n`` lies in
-    [1/2, 1), so ``4n`` cannot overflow.  Scaling by a power of two is exact
-    unless a stake drops below the normal float range (``n/p > 2**1021``), so
-    the closed forms below give their unscaled expressions' results bit for
-    bit wherever those are finite.
-    """
-    e = np.frexp(n)[1]
-    return np.ldexp(p, -e), np.ldexp(q, -e), np.ldexp(n, -e), e
-
-
-# The closed forms over float stakes and corruption, scalars or arrays alike:
+# The closed forms over stakes and corruption, scalars or arrays alike:
 # the public functions below and the columnar ``sweep`` share them.
 
-def _quantum_ne(p, q, n, x):
-    p, _, n, e = _scaled_stakes(p, q, n)
-    return np.ldexp((-4.0 * n * x + 2.0 * n + p) / 3.0, e)
+def _quantum_ne(p, n, x):
+    return (-4.0 * n * x + 2.0 * n + p) / 3.0
 
 
 def _classical_ne(q, x):
@@ -94,7 +80,6 @@ def _classical_ne(q, x):
 def _crossing(p, q, n):
     """Numerator and value of the crossing level; the value is a level only
     where the numerator is positive, and capped at 1/2, which rounding can pass."""
-    p, q, n, _ = _scaled_stakes(p, q, n)
     numerator = 2.0 * n + p - 3.0 * q
     return numerator, np.minimum(numerator / (4.0 * n - 3.0 * q), 0.5)
 
@@ -102,7 +87,7 @@ def _crossing(p, q, n):
 def quantum_ne_payoff(table: PayoffTable, x: float) -> float:
     """Per-player mean payoff of the mixed-strategy (quantum) equilibrium class."""
     check_corruption(x)
-    return float(_quantum_ne(float(table.p), float(table.q), float(table.n), x))
+    return float(_quantum_ne(table.p, table.n, x))
 
 
 def classical_ne_payoff(table: PayoffTable, x: float) -> float:
@@ -117,7 +102,7 @@ def critical_corruption(table: PayoffTable) -> float | None:
     Returns ``None`` when the quantum side never leads (non-positive
     numerator), a distinguished no-advantage outcome rather than a level.
     """
-    numerator, x_c = _crossing(float(table.p), float(table.q), float(table.n))
+    numerator, x_c = _crossing(table.p, table.q, table.n)
     return float(x_c) if numerator > 0.0 else None
 
 
@@ -172,8 +157,8 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     parameter set, and ``simulated_classical_mean`` of a corruption sweep is
     ``classical_ne_mean`` itself when the two are equal bit for bit, as at the
     default stakes.  ``valid`` is ``True`` and ``error`` ``None`` unless a grid
-    point's stakes violate 0 < p < q < n or its corruption lies outside
-    [0, 1].  Such a point is kept: ``valid`` and ``error`` become lists, false
+    point's stakes violate 0 < p < q < n or exceed :data:`~qdilemma.game.MAX_STAKE`,
+    or its corruption lies outside [0, 1].  Such a point is kept: ``valid`` and ``error`` become lists, false
     and the message of :class:`~qdilemma.game.PayoffTable` or
     :func:`~qdilemma.game.check_corruption` there, and so does each numeric
     column, ``None`` there (a column with no number at any point is ``None``).
@@ -207,8 +192,8 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
 
     # invalid points may hold any numbers here; they are voided below
     with np.errstate(all="ignore"):
-        void = ~((0.0 < p) & (p < q) & (q < n) & np.isfinite(n) & (0.0 <= xs) & (xs <= 1.0))
-        quantum = _cells(_quantum_ne(p, q, n, xs), void)
+        void = ~((0.0 < p) & (p < q) & (q < n) & (n <= MAX_STAKE) & (0.0 <= xs) & (xs <= 1.0))
+        quantum = _cells(_quantum_ne(p, n, xs), void)
         classical_values = _classical_ne(q, xs)
         classical = _cells(classical_values, void)
         numerator, x_c = _crossing(p, q, n)

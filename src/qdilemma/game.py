@@ -8,7 +8,6 @@ computational basis.  Outcome bit 1 means "go to the party"; the stakes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,10 @@ NEG_PROB_TOL = 1e-12
 
 #: Largest distance of a distribution's sum from 1 that :func:`payoff` accepts.
 PROB_SUM_TOL = 1e-10
+
+#: Largest stake magnitude :class:`PayoffTable` accepts: ``4n``, the largest value a
+#: closed form takes, and a sum of three payoffs, at most ``3n``, stay far from overflow.
+MAX_STAKE = 1e300
 
 
 #: Each player's move as its 2x2 gate: ``"I"`` stays home, ``"X"`` goes to the
@@ -94,9 +97,11 @@ class PayoffTable:
     n: float = 9.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.q) and math.isfinite(self.n)):
+        # written so that a NaN, an infinity and an int too large for a float are refused too
+        if not (abs(self.p) <= MAX_STAKE and abs(self.q) <= MAX_STAKE and abs(self.n) <= MAX_STAKE):
             raise ValueError(
-                f"payoffs must be finite, got p={self.p}, q={self.q}, n={self.n}"
+                f"payoffs must be finite and at most {MAX_STAKE}, "
+                f"got p={self.p}, q={self.q}, n={self.n}"
             )
         if not 0.0 < self.p < self.q < self.n:
             raise ValueError(
@@ -131,14 +136,7 @@ class PayoffVector:
 
     @property
     def mean(self) -> float:
-        # Summed at 2**-e so that three payoffs near the float maximum cannot
-        # overflow.  e is 0 below 2**1022, and scaling by a power of two is
-        # exact in the normal range, so every finite unscaled mean is kept.
-        largest = max(abs(self.player1), abs(self.player2), abs(self.player3))
-        e = max(0, math.frexp(largest)[1] - 1022)
-        total = (math.ldexp(self.player1, -e) + math.ldexp(self.player2, -e)
-                 + math.ldexp(self.player3, -e))
-        return math.ldexp(total / 3, e)
+        return (self.player1 + self.player2 + self.player3) / 3
 
 
 def amplitudes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

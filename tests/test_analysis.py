@@ -19,7 +19,7 @@ from qdilemma.analysis import (
     simulated_class_mean,
     sweep,
 )
-from qdilemma.game import DEFAULT_GAMMA, PayoffTable, evolve, outcomes, payoff, play
+from qdilemma.game import DEFAULT_GAMMA, MAX_STAKE, PayoffTable, evolve, outcomes, payoff, play
 from qdilemma.noise import check_corruption, corrupted_input
 from qdilemma.tomography import fidelity
 
@@ -134,30 +134,24 @@ class TestCriticalCorruption:
             x_c = critical_corruption(random_payoff_table(rng))
             assert x_c is None or 0 < x_c < 0.5
 
-    def test_scaled_forms_match_unscaled_expressions_bit_for_bit(self, rng):
-        # stakes from 1e-5 to 1e300, where 4n and the unscaled forms stay finite
+    def test_closed_forms_are_the_plain_expressions_bit_for_bit(self, rng):
+        # at x = 1/2 the n terms cancel and p/3 is left, also where n/p passes 2**1021
+        assert quantum_ne_payoff(PayoffTable(1e-10, 1.0, 1e300), 0.5) == 3.3333333333333335e-11
+        # stakes from 1e-5 to 1e300, and p from q down to the smallest subnormal
         for _ in range(2000):
             n = 10.0 ** rng.uniform(-5, 300)
             q = n * rng.uniform(0.01, 1.0)
-            p = q * rng.uniform(0.01, 1.0)
+            p = q * 10.0 ** -rng.uniform(0.0, 330.0)
             if not 0.0 < p < q < n:
                 continue
             table = PayoffTable(p, q, n)
             numerator = 2.0 * n + p - 3.0 * q
             expected = None if numerator <= 0.0 else numerator / (4.0 * n - 3.0 * q)
             assert critical_corruption(table) == expected
-            x = rng.uniform(0.0, 1.0)
-            assert quantum_ne_payoff(table, x) == (-4.0 * n * x + 2.0 * n + p) / 3.0
+            for x in (rng.uniform(0.0, 1.0), 0.5):
+                assert quantum_ne_payoff(table, x) == (-4.0 * n * x + 2.0 * n + p) / 3.0
 
-    def test_overflowing_stakes_are_answered(self):
-        # 4n overflows in the unscaled form
-        table = PayoffTable(1.0, 2.0, 1e308)
-        assert critical_corruption(table) == 0.5
-        assert quantum_ne_payoff(table, 0.0) == pytest.approx(1e308 / 3 * 2, rel=1e-15)
-        assert math.isfinite(quantum_ne_payoff(table, 1.0))
-        assert dominance(table, 0.0)["dominant"] == "quantum"
-
-    @given(log_n=st.floats(-5.0, 308.0), log_ratio=st.floats(0.0, 20.0),
+    @given(log_n=st.floats(-5.0, math.log10(MAX_STAKE)), log_ratio=st.floats(0.0, 20.0),
            p_frac=st.one_of(st.floats(0.0, 1.0), st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e)))
     def test_in_half_open_interval_for_random_tables(self, log_n, log_ratio, p_frac):
         # n / q up to 1e20 and p up to q, where x_c comes closest to 1/2
@@ -174,7 +168,7 @@ class TestCriticalCorruption:
             assert x_c < 0.5
 
     def test_capped_at_half(self):
-        # the unscaled and the scaled expression both round to 0.5000000000000001
+        # the expression rounds to 0.5000000000000001
         table = PayoffTable(0.99 * 2.4e-16, 2.4e-16, 1.0)
         assert critical_corruption(table) == 0.5
         assert sweep(table, "q", [2.4e-16])["x_c"] == [0.5]
@@ -213,7 +207,7 @@ class TestDominance:
             x = rng.uniform(0.5, 1.0)
             assert dominance(table, x)["dominant"] != "quantum"
 
-    @given(log_n=st.floats(-5.0, 307.0), q_frac=st.floats(1e-6, 1.0, exclude_max=True),
+    @given(log_n=st.floats(-5.0, math.log10(MAX_STAKE)), q_frac=st.floats(1e-6, 1.0, exclude_max=True),
            p_frac=st.floats(1e-6, 1.0, exclude_max=True),
            x=st.floats(0.5, 1.0, exclude_min=True))
     def test_never_quantum_past_half_at_any_scale(self, log_n, q_frac, p_frac, x):
@@ -495,7 +489,7 @@ def per_point_sweep(table, swept, grid, x, gamma):
 #: names stand for the table's own stakes, and "tie" for the q at which the
 #: crossing's numerator 2n + p - 3q vanishes.
 EDGES = st.sampled_from([0.0, -0.0, 1.0, 0.5, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324,
-                         "p", "q", "n", "tie"])
+                         MAX_STAKE, math.nextafter(MAX_STAKE, math.inf), "p", "q", "n", "tie"])
 
 
 class TestColumnarSweep:
@@ -523,3 +517,32 @@ class TestColumnarSweep:
     def test_rejects_a_two_dimensional_grid(self):
         with pytest.raises(ValueError, match="one-dimensional"):
             sweep(TABLE, "x", [[0.0, 1.0]])
+
+
+class TestStakeRange:
+    def test_stakes_up_to_the_bound_are_answered(self):
+        # 4n = 4e300 is the largest value a closed form takes; 1e308 is refused
+        table = PayoffTable(1.0, 2.0, MAX_STAKE)
+        assert critical_corruption(table) == 0.5
+        assert quantum_ne_payoff(table, 0.0) == (2.0 * MAX_STAKE + 1.0) / 3.0
+        assert quantum_ne_payoff(table, 1.0) == (-2.0 * MAX_STAKE + 1.0) / 3.0
+        assert dominance(table, 0.0)["dominant"] == "quantum"
+        with pytest.raises(ValueError, match=r"^payoffs must be finite and at most 1e\+300, "):
+            PayoffTable(1.0, 2.0, 1e308)
+
+    @given(stakes=st.lists(st.floats(5e-324, MAX_STAKE), min_size=3, max_size=3, unique=True),
+           x=st.floats(0.0, 1.0), gamma=st.floats(0.0, math.pi / 2), profile=PROFILES)
+    def test_every_answer_is_finite_over_the_accepted_stakes(self, stakes, x, gamma, profile):
+        table = PayoffTable(*sorted(stakes))
+        report = dominance(table, x)
+        pay = payoff(play(profile, x, gamma), table)
+        answers = [report["quantum_ne_mean"], report["classical_ne_mean"], critical_corruption(table),
+                   pay.player1, pay.player2, pay.player3, pay.mean]
+        for swept, grid in (("x", [0.0, x, 1.0]), ("n", [table.n]), ("q", [table.q])):
+            columns = sweep(table, swept, grid, x=x, gamma=gamma)
+            assert columns["valid"] is True
+            for key in ("quantum_ne_mean", "classical_ne_mean", "x_c", "simulated_quantum_mean",
+                        "simulated_classical_mean"):
+                answers += columns[key] if isinstance(columns[key], list) else [columns[key]]
+        # None is the no-crossing x_c, or a simulated column that a stake sweep does not hold
+        assert all(math.isfinite(a) for a in answers if a is not None)

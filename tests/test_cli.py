@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from qdilemma import cli
 from qdilemma.cli import MAX_GRID, build_parser, emit, main
-from qdilemma.game import DEFAULT_GAMMA, PayoffTable
+from qdilemma.game import DEFAULT_GAMMA, MAX_STAKE, PayoffTable
 
 from helpers import subprocess_env
 
@@ -437,31 +437,20 @@ class TestOsErrors:
 
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_overflowing_stake_is_answered(self, capsys, fmt):
-        # 4n overflows unscaled; the closed forms scale the stakes first
-        code, out, err = run(capsys, "xc", "--n", "1e308", "--format", fmt)
-        assert code == 0, err
-        if fmt == "json":
-            results = json.loads(out)["results"]
-            x_c, quantum = results["x_c"], results["report"]["quantum_ne_mean"]
-        else:
-            (row,) = csv.DictReader(io.StringIO(out))
-            x_c, quantum = float(row["x_c"]), float(row["quantum_ne_mean"])
-        assert x_c == 0.5
-        assert quantum == pytest.approx(6.67e307, rel=1e-3)
+    @pytest.mark.parametrize("argv", [("xc",), ("play", "HIX"), ("classes",),
+                                      ("sweep", "x", "--grid", "3")])
+    @pytest.mark.parametrize("n", ["1e308", repr(math.nextafter(MAX_STAKE, math.inf))])
+    def test_stake_past_the_bound_is_refused(self, capsys, argv, fmt, n):
+        code, out, err = run(capsys, *argv, "--n", n, "--q", "3", "--format", fmt)
+        assert (code, out, err) == (2, "", "error: --p/--q/--n: payoffs must be finite and at most "
+                                           f"1e+300, got p=1.0, q=3.0, n={float(n)}\n")
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("argv", [("play", "HIX"), ("classes",), ("sweep", "x", "--grid", "3")])
-    def test_huge_stakes_are_answered_on_simulated_paths(self, capsys, argv, fmt):
-        # the mean of three payoffs near 1e308 overflows unscaled
-        code, out, err = run(capsys, *argv, "--n", "1e308", "--q", "3", "--format", fmt)
-        assert code == 0, err
-        assert err == ""
-        if fmt == "json":
-            text = json.dumps(json.loads(out)["results"])
-        else:
-            text = out
-        assert "6.66666666667e+307" in text or "6.666666666666666e+307" in text
+    def test_stake_sweep_past_the_bound_voids_its_points(self, capsys):
+        argv = ("sweep", "n", "--from", "1e299", "--to", "1e301", "--grid", "3")
+        rows = run_json(capsys, *argv)["results"]
+        assert [(row["valid"], row["error"]) for row in rows] == [(True, None)] + [
+            (False, f"payoffs must be finite and at most 1e+300, got p=1.0, q=2.0, n={row['n']}")
+            for row in rows[1:]]
 
     def test_infinite_stake_fails(self, capsys):
         code, out, err = run(capsys, "play", "XXX", "--n", "inf")
@@ -635,7 +624,7 @@ BAD_NUMBERS = ("-1", "1e308", "-1e308", "-1e-3", "1e400", "nan", "inf", "-inf", 
 FLAG_VALUES = {
     "--p": (("1", "0.5", "1.5"), BAD_NUMBERS),
     "--q": (("2", "1.5", "3"), BAD_NUMBERS),
-    "--n": (("9", "20", "1e308"), BAD_NUMBERS),
+    "--n": (("9", "20", "1e300"), BAD_NUMBERS),
     "--x": (("0", "0.25", "1"), BAD_NUMBERS),
     "--gamma": (("0", "0.7", "1.5707963267948966"), BAD_NUMBERS),
     "--from": (("0", "1", "3"), BAD_NUMBERS),

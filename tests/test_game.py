@@ -1,4 +1,5 @@
 import hashlib
+import math
 from itertools import permutations, product
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from qdilemma import game
 from qdilemma.game import (
     GATES,
+    MAX_STAKE,
     NEG_PROB_TOL,
     PROB_SUM_TOL,
     PayoffTable,
@@ -260,35 +262,12 @@ class TestPayoff:
         with pytest.raises(ValueError, match="not a probability distribution"):
             payoff(probs, TABLE)
 
-    @pytest.mark.parametrize("profile, mean", [("HIX", 1e308 / 3 * 2), ("IIX", -1e308 / 3 * 2),
+    @pytest.mark.parametrize("profile, mean", [("HIX", MAX_STAKE / 3 * 2), ("IIX", -MAX_STAKE / 3 * 2),
                                                ("XXX", 3.0)])
-    def test_huge_stakes_are_answered(self, profile, mean):
-        # the sum of the three payoffs overflows before the division by 3
-        table = PayoffTable(1.0, 3.0, 1e308)
+    def test_stakes_at_the_bound_are_answered(self, profile, mean):
+        table = PayoffTable(1.0, 3.0, MAX_STAKE)
         pay = payoff(play(parse_profile(profile)), table)
         assert pay.mean == pytest.approx(mean, rel=1e-15)
-
-    @given(n=st.floats(2.0**1020, 1.7976931348623157e308),
-           q_frac=st.floats(1e-300, 1.0, exclude_min=True, exclude_max=True),
-           p_frac=st.floats(1e-300, 1.0, exclude_min=True, exclude_max=True),
-           weights=st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8).filter(any))
-    def test_mean_is_exact_wherever_unscaled_is_finite(self, n, q_frac, p_frac, weights):
-        q = n * q_frac
-        table = PayoffTable(q * p_frac, q, n)
-        probs = np.array(weights) / sum(weights)
-        if abs(probs.sum() - 1.0) > 1e-10:
-            return
-        pay = payoff(probs, table)
-        players = [pay.player1, pay.player2, pay.player3]
-        assert all(np.isfinite([*players, pay.mean]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            unscaled = probs @ table.outcome_payoffs()
-            unscaled_mean = (unscaled[0] + unscaled[1] + unscaled[2]) / 3
-        for got, want in zip(players, unscaled):
-            if np.isfinite(want):
-                assert got == want
-        if np.isfinite(unscaled).all() and np.isfinite(unscaled_mean):
-            assert pay.mean == unscaled_mean
 
 
 class TestPayoffTable:
@@ -298,9 +277,10 @@ class TestPayoffTable:
                 PayoffTable(p, q, n)
 
     @pytest.mark.parametrize("stakes", [(1, 2, np.inf), (1, np.inf, np.inf), (1, 2, np.nan),
-                                        (-np.inf, 2, 9), (np.nan, 2, 9)])
+                                        (-np.inf, 2, 9), (np.nan, 2, 9), (1, 2, 10**400),
+                                        (1.0, 3.0, 1e308), (1, 2, math.nextafter(MAX_STAKE, math.inf))])
     def test_rejects_non_finite_stakes(self, stakes):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=r"^payoffs must be finite and at most 1e\+300, got "):
             PayoffTable(*stakes)
 
 

@@ -35,8 +35,9 @@ def contract_rules() -> list:
 
 def test_documented_tolerances_equal_the_code():
     documented = dict(re.findall(r"`(\w+\.[A-Z_]+)` = (\d+ eps|[\d.e+-]+)", contract_rules()[0]))
-    assert sorted(documented) == ["analysis.TIE_TOL", "game.NEG_PROB_TOL", "game.PROB_SUM_TOL",
-                                  "linalg.DUST_RTOL", "linalg.PSD_SLACK", "linalg.TOL"]
+    assert sorted(documented) == ["analysis.TIE_TOL", "game.MAX_STAKE", "game.NEG_PROB_TOL",
+                                  "game.PROB_SUM_TOL", "linalg.DUST_RTOL", "linalg.PSD_SLACK",
+                                  "linalg.TOL"]
     modules = {"linalg": linalg, "game": game, "analysis": analysis}
     for name, text in documented.items():
         module, constant = name.split(".")
