@@ -86,13 +86,13 @@ def _crossing(p, q, n):
 
 def quantum_ne_payoff(table: PayoffTable, x: float) -> float:
     """Per-player mean payoff of the mixed-strategy (quantum) equilibrium class."""
-    check_corruption(x)
+    x = check_corruption(x)
     return float(_quantum_ne(table.p, table.n, x))
 
 
 def classical_ne_payoff(table: PayoffTable, x: float) -> float:
     """Per-player payoff of the all-flip (classical) equilibrium: q(1-x)."""
-    check_corruption(x)
+    x = check_corruption(x)
     return _classical_ne(table.q, x)
 
 
@@ -112,6 +112,7 @@ def dominance(table: PayoffTable, x: float) -> dict:
     Returns ``{"x", "quantum_ne_mean", "classical_ne_mean", "dominant"}`` in
     that key order; ``dominant`` is ``"quantum"``, ``"classical"`` or ``"tie"``.
     """
+    x = check_corruption(x)
     qu = quantum_ne_payoff(table, x)
     cl = classical_ne_payoff(table, x)
     if abs(qu - cl) <= TIE_TOL * max(abs(qu), abs(cl)):

@@ -80,13 +80,13 @@ _XXX = np.eye(8, dtype=complex)[::-1]
 
 def entangler(gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Three-qubit entangling gate cos(g/2) I + i sin(g/2) X⊗X⊗X."""
-    check_gamma(gamma)
+    gamma = check_gamma(gamma)
     return np.cos(gamma / 2) * np.eye(8, dtype=complex) + 1j * np.sin(gamma / 2) * _XXX
 
 
 @dataclass(frozen=True)
 class PayoffTable:
-    """Stakes of the game, constrained to 0 < p < q < n.
+    """Stakes of the game, constrained to 0 < p < q < n, held as Python floats.
 
     ``p`` rewards a lone (or left-behind) player, ``q`` the overcrowded
     all-go outcome, and ``n`` the win/loss magnitude when exactly two go.
@@ -97,16 +97,26 @@ class PayoffTable:
     n: float = 9.0
 
     def __post_init__(self):
-        # written so that a NaN, an infinity and an int too large for a float are refused too
-        if not (abs(self.p) <= MAX_STAKE and abs(self.q) <= MAX_STAKE and abs(self.n) <= MAX_STAKE):
+        stakes = (self.p, self.q, self.n)
+        # abs refuses a non-number; each magnitude is compared as a Python float, so a NaN,
+        # an infinity and an int too large for a float are refused, and a numpy scalar is
+        # not compared in its own dtype, to which the bound would be cast and overflow
+        try:
+            bounded = all(float(abs(stake)) <= MAX_STAKE for stake in stakes)
+        except OverflowError:
+            bounded = False
+        if not bounded:
             raise ValueError(
                 f"payoffs must be finite and at most {MAX_STAKE}, "
                 f"got p={self.p}, q={self.q}, n={self.n}"
             )
-        if not 0.0 < self.p < self.q < self.n:
+        p, q, n = map(float, stakes)
+        if not 0.0 < p < q < n:
             raise ValueError(
                 f"payoffs must satisfy 0 < p < q < n, got p={self.p}, q={self.q}, n={self.n}"
             )
+        for name, value in zip("pqn", (p, q, n)):
+            object.__setattr__(self, name, value)
 
     def outcome_payoffs(self) -> np.ndarray:
         """8x3 array of per-player payoffs, one row per outcome 000..111."""

@@ -68,7 +68,7 @@ def check_spectrum(w: np.ndarray) -> None:
         raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
 
 
-def clamp_spectrum(w, scale: float):
+def clamp_spectrum(w, scale: float) -> list[float]:
     """The clamp rule: ascending eigenvalues ``w`` with negatives and rounding dust zeroed.
 
     Eigenvalues at most ``DUST_RTOL`` of ``scale`` become zero: negative
@@ -76,7 +76,7 @@ def clamp_spectrum(w, scale: float):
     matrix's largest eigenvalue, or, for a matrix computed from larger
     numbers, whose rounding it carries, theirs.  A negative eigenvalue
     beyond ``PSD_SLACK`` raises a :class:`ClampWarning` carrying the clamped
-    magnitude.  A list of floats is clamped as a list, an array as an array.
+    magnitude.  Any sequence, an array too, comes back as a list of floats.
     """
     if w[0] < -PSD_SLACK:
         warnings.warn(
@@ -84,10 +84,8 @@ def clamp_spectrum(w, scale: float):
             ClampWarning,
             stacklevel=3,
         )
-    if isinstance(w, list):
-        dust = float(DUST_RTOL * scale)
-        return [value if value > dust else 0.0 for value in w]
-    return np.where(w > DUST_RTOL * scale, w, 0.0)
+    dust = float(DUST_RTOL * scale)
+    return [value if value > dust else 0.0 for value in map(float, w)]
 
 
 def _check_finite(rho: np.ndarray) -> None:

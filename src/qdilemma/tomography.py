@@ -30,8 +30,6 @@ from .linalg import (DUST_RTOL, PAULIS, TOL, check_spectrum, clamp_spectrum, kro
 _PAULI = kron3(*[np.stack(PAULIS)] * 3).reshape(64, 64)
 #: Its float view: each row holds a string's real and imaginary parts, interleaved.
 _PAULI_PARTS = _PAULI.view(float)
-#: The inverse map's matrix, that view over 8: every entry is 0 or ±1/8, so it is exact.
-_PAULI_INVERSE = _PAULI_PARTS / 8.0
 
 #: Per-thread state of the estimator: its one Generator over one Philox, re-keyed per call.
 _THREAD = threading.local()
@@ -67,7 +65,7 @@ def reconstruct(t: np.ndarray) -> np.ndarray:
         raise ValueError("expectation tensor has non-finite entries")
     if abs(t[0, 0, 0] - 1.0) > TOL:
         raise ValueError(f"t[0,0,0] = {float(t[0, 0, 0])!r} must be 1 (unit trace)")
-    return (t.ravel() @ _PAULI_INVERSE).view(complex).reshape(8, 8)
+    return ((t.ravel() @ _PAULI_PARTS) / 8.0).view(complex).reshape(8, 8)
 
 
 def check_shots(shots: int) -> int:
@@ -162,17 +160,16 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     return sum(map(math.sqrt, spectrum))
 
 
-def _block_spectrum(block: np.ndarray):
-    """Ascending eigenvalues of the Hermitian part of a square ``block``.
+def _block_spectrum(block: np.ndarray) -> list[float]:
+    """Ascending eigenvalues of the Hermitian part of a square ``block``, as a list of floats.
 
-    Those of a block of at most 2x2 come as a list of floats: a 1x1
-    block's eigenvalue is its real part, and a 2x2 block's,
+    A 1x1 block's eigenvalue is its real part, and a 2x2 block's,
     ``m ± hypot((a - c)/2, |b|)`` with ``m = (a + c)/2``, are taken in
     closed form: the one whose two terms share a sign as written, and the
     other as the determinant ``ac - |b|²`` over it rather than as a
     difference that cancels.  That quotient scales each entry by a ratio of
-    magnitude at most 1, so it cannot overflow.  A larger block's come as
-    the array that ``eigvalsh`` returns.
+    magnitude at most 1, so it cannot overflow.  A larger block's are
+    ``eigvalsh``'s.
     """
     if len(block) == 1:
         return [block.item().real]
@@ -187,7 +184,7 @@ def _block_spectrum(block: np.ndarray):
             low = mean - radius
             high = a / low * c - b / low * b
         return [low, high]
-    return np.linalg.eigvalsh((block + block.conj().T) / 2)
+    return np.linalg.eigvalsh((block + block.conj().T) / 2).tolist()
 
 
 def project_to_physical(rho: np.ndarray) -> np.ndarray:

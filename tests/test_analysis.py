@@ -19,7 +19,8 @@ from qdilemma.analysis import (
     simulated_class_mean,
     sweep,
 )
-from qdilemma.game import DEFAULT_GAMMA, MAX_STAKE, PayoffTable, evolve, outcomes, payoff, play
+from qdilemma.game import (DEFAULT_GAMMA, MAX_STAKE, PayoffTable, entangler, evolve, outcomes, payoff,
+                           play)
 from qdilemma.noise import check_corruption, corrupted_input
 from qdilemma.tomography import fidelity
 
@@ -546,3 +547,22 @@ class TestStakeRange:
                 answers += columns[key] if isinstance(columns[key], list) else [columns[key]]
         # None is the no-crossing x_c, or a simulated column that a stake sweep does not hold
         assert all(math.isfinite(a) for a in answers if a is not None)
+
+
+@pytest.mark.parametrize("kind, x", [(np.float32, 0.3), (np.float16, 0.3), (np.int64, 1), (int, 1)])
+def test_other_number_types_give_the_answers_of_python_floats(kind, x):
+    # each input is taken as the Python float it holds: its dtype reaches no answer,
+    # and the stake bound is not cast to it, where 1e300 overflows float32 and float16
+    stakes, x, gamma = (kind(1), kind(2), kind(9)), kind(x), kind(1)
+    table, reference = PayoffTable(*stakes), PayoffTable(*map(float, stakes))
+    assert [type(stake) for stake in (table.p, table.q, table.n)] == [float] * 3
+    assert table == reference
+
+    def answers(table, x):
+        return [quantum_ne_payoff(table, x), classical_ne_payoff(table, x),
+                critical_corruption(table), *dominance(table, x).values()]
+
+    got, expected = answers(table, x), answers(reference, float(x))
+    assert got == expected
+    assert [type(a) for a in got] == [type(a) for a in expected] == [float] * 6 + [str]
+    assert entangler(gamma).tobytes() == entangler(float(gamma)).tobytes()

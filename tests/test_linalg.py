@@ -157,8 +157,9 @@ class TestClampSpectrum:
         with warnings.catch_warnings(record=True) as from_array:
             warnings.simplefilter("always")
             expected = clamp_spectrum(np.array(w), scale)
-        assert type(out) is list and all(type(value) is float for value in out)
-        assert np.array(out).tobytes() == expected.tobytes()
+        for clamped in (out, expected):
+            assert type(clamped) is list and all(type(value) is float for value in clamped)
+        assert np.array(out).tobytes() == np.array(expected).tobytes()
         assert [str(c.message) for c in from_list] == [str(c.message) for c in from_array]
 
     @given(w=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8).map(sorted),
@@ -168,9 +169,9 @@ class TestClampSpectrum:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ClampWarning)
             out = clamp_spectrum(w, scale)
-        assert (out >= 0.0).all()
+        assert all(value >= 0.0 for value in out)
         kept = w > linalg.DUST_RTOL * scale
-        np.testing.assert_array_equal(out[kept], w[kept])
+        np.testing.assert_array_equal(np.array(out)[kept], w[kept])
 
 
 class TestValidateDensityMatrix:

@@ -17,7 +17,6 @@ from qdilemma.linalg import basis_density, kron3, max_abs, validate_density_matr
 from qdilemma.noise import corrupted_input
 from qdilemma.tomography import (
     _PAULI,
-    _PAULI_INVERSE,
     _PAULI_PARTS,
     _block_spectrum,
     check_shots,
@@ -115,6 +114,16 @@ class TestReconstruct:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError, match="4x4x4"):
             reconstruct(np.ones((4, 4)))
+
+    def test_divides_the_product_by_8_where_each_eighth_is_subnormal(self):
+        # t[0,0,1] and t[0,3,1] (I⊗I⊗X and I⊗Z⊗X) sum to 2v at entry [0, 1], whose
+        # eighth is normal; each v/8 is subnormal and drops v's last bit
+        t = np.zeros((4, 4, 4))
+        t[0, 0, 0] = 1.0
+        t[0, 0, 1] = t[0, 3, 1] = 2.0**-1020 * (1 + 2.0**-52)
+        rho = reconstruct(t)
+        assert rho[0, 1] == 2.0**-1022 * (1 + 2.0**-52)
+        assert rho.tobytes() == ((t.ravel() @ _PAULI_PARTS) / 8.0).tobytes()
 
     @pytest.mark.parametrize("index", [(0, 0, 0), (1, 2, 3)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -297,7 +306,7 @@ def rounding(rho):
 def support_block(rho, target):
     """The block ``u† rho u`` on the target's support that :func:`fidelity` forms, and its scale."""
     w, v = np.linalg.eigh(target)
-    w = linalg.clamp_spectrum(w, w[-1])
+    w = np.array(linalg.clamp_spectrum(w, w[-1]))
     u = (v * np.sqrt(w))[:, w > 0.0]
     return u.conj().T @ rho @ u, w[-1]
 
@@ -315,7 +324,7 @@ def decomposition_error(rho, target):
     norm 4 eps low.
     """
     w, v = np.linalg.eigh(target)
-    kept = (v * linalg.clamp_spectrum(w, w[-1])) @ v.conj().T
+    kept = (v * np.array(linalg.clamp_spectrum(w, w[-1]))) @ v.conj().T
     return np.abs(np.linalg.eigvalsh(rho)).sum() * np.linalg.norm(kept - target, 2)
 
 
@@ -542,6 +551,14 @@ class TestBlockSpectrum:
         spectrum = _block_spectrum(np.diag(diagonal).astype(complex))
         np.testing.assert_allclose(spectrum, sorted(diagonal), rtol=4 * np.finfo(float).eps, atol=0.0)
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_larger_block_gives_eigvalsh_as_floats_bit_for_bit(self, seed):
+        a = crandn((3, 3), np.random.default_rng(seed))
+        block = a + a.conj().T  # exactly Hermitian, so it is its own Hermitian part
+        spectrum = _block_spectrum(block)
+        assert type(spectrum) is list and all(type(value) is float for value in spectrum)
+        assert np.array(spectrum).tobytes() == np.linalg.eigvalsh(block).tobytes()
+
     def test_every_branch_runs_on_game_targets(self):
         # raw reconstructions at 3 and 8192 shots, the bundled raw state and pure
         # game states, against every profile's state at the ends and inside of
@@ -682,10 +699,7 @@ def test_matrix_forms_match_the_per_string_sums(rho):
     for value, s in zip(t.ravel(), PAULI_STRINGS):
         acc += value * s
     assert max_abs(reconstruct(t) - acc / 8.0) <= 1e-15
-    # P/8 is exact, so the product with it rounds as the product with P does,
-    # eight times smaller, unless an entry's eighth falls among the subnormals
-    if (np.abs(t[t != 0.0]) >= 2.0**-1019).all():
-        assert reconstruct(t).tobytes() == ((t.ravel() @ _PAULI_PARTS) / 8.0).tobytes()
+    assert reconstruct(t).tobytes() == ((t.ravel() @ _PAULI_PARTS) / 8.0).tobytes()
 
 
 def test_pauli_matrix_rows_are_orthogonal_with_norm_8():
@@ -693,7 +707,6 @@ def test_pauli_matrix_rows_are_orthogonal_with_norm_8():
     # inverts P.T: reconstruct undoes expectations
     assert _PAULI.shape == (64, 64)
     assert np.array_equal(_PAULI.conj() @ _PAULI.T, 8 * np.eye(64))
-    assert np.array_equal(_PAULI_INVERSE * 8.0, _PAULI_PARTS)
 
 
 def test_pauli_matrix_is_the_per_string_stack_bit_for_bit():
