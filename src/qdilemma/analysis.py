@@ -113,8 +113,7 @@ def dominance(table: PayoffTable, x: float) -> dict:
     that key order; ``dominant`` is ``"quantum"``, ``"classical"`` or ``"tie"``.
     """
     x = check_corruption(x)
-    qu = quantum_ne_payoff(table, x)
-    cl = classical_ne_payoff(table, x)
+    qu, cl = _quantum_ne(table.p, table.n, x), _classical_ne(table.q, x)
     if abs(qu - cl) <= TIE_TOL * max(abs(qu), abs(cl)):
         verdict = "tie"
     else:
@@ -176,15 +175,15 @@ def sweep(table: PayoffTable, swept: str, grid, x: float = 0.0,
     """
     if swept not in SWEEPABLE:
         raise ValueError(f"swept parameter must be one of {SWEEPABLE}, got {swept!r}")
-    check_gamma(gamma)
+    gamma = check_gamma(gamma)
     values = np.asarray(grid, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"sweep grid must be one-dimensional, got shape {values.shape}")
     if not values.size:
         raise ValueError("empty sweep grid")
-    held = {"p": table.p, "q": table.q, "n": table.n, "x": x}
-    # the held parameters stay scalars, so what depends on them alone is one value
-    p, q, n, xs = (values if key == swept else float(value) for key, value in held.items())
+    # the held parameters stay Python floats, so what depends on them alone is one value
+    held = {"p": table.p, "q": table.q, "n": table.n, "x": None if swept == "x" else float(x)}
+    p, q, n, xs = (values if key == swept else value for key, value in held.items())
 
     if swept == "x":
         (mixed0, mixed1), (flip0, flip1) = (

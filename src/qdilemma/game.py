@@ -169,20 +169,20 @@ def amplitudes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
 
 
 def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
-    """Final 3-qubit state of the game circuit on ``rho = p0|000><000| + p7|111><111|``
-    (default pristine ``|000>``): the rank-2 mixture of the two columns of :func:`amplitudes`."""
+    """Final 3-qubit state of the game circuit on ``rho = p0|000><000| + p7|111><111|`` (default
+    ``|000>``): the columns of :func:`amplitudes` mixed by ``Re[p0, p7]``, negatives as 0, over their sum."""
     weights = np.array([1.0, 0.0])
     if rho is not None:
         rho = linalg.validate_density_matrix(rho, raw=True).ravel()
         if rho[1:-1].any():
             raise ValueError("evolve's input must be p0|000><000| + p7|111><111|")
-        weights = rho[[0, -1]]
-        # the spectrum of such a matrix is p0, p7 and six zeros
-        linalg.check_spectrum(sorted(weights.real))
+        # the spectrum of such a matrix is p0, p7 and six zeros; a negative one it passes is rounding
+        linalg.check_spectrum(sorted(rho[[0, -1]].real))
+        weights = np.maximum(rho[[0, -1]].real, 0.0)
+        weights = weights / weights.sum()
     a = amplitudes(profile, gamma)
-    # Hermitian with unit trace to the input's rounding, which one raw check bounds,
-    # and positive with the input's two weights
-    return linalg.record_state(linalg.validate_density_matrix((a * weights) @ a.conj().T, raw=True))
+    # valid by construction: Hermitian, of unit trace and positive, each to rounding
+    return linalg.record_state((a * weights) @ a.conj().T)
 
 
 def outcomes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

@@ -36,10 +36,10 @@ def ancilla_prepare(x: float) -> np.ndarray:
     ancilla ``Ry(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>``, and a CNOT
     from the ancilla onto each game qubit copies it; the register stays a pure
     statevector until the ancilla is traced out, so the equivalence is exact
-    to rounding.
+    to rounding.  The state is valid by construction and returned recorded.
     """
     half = theta_for_x(x) / 2
     psi = np.kron(linalg.basis_state("000"), [np.cos(half), np.sin(half)])
     for qubit in range(3):
         psi = linalg.cnot(3, qubit, 4) @ psi
-    return np.outer(psi, psi.conj()).reshape(8, 2, 8, 2).trace(axis1=1, axis2=3)
+    return linalg.record_state(np.outer(psi, psi.conj()).reshape(8, 2, 8, 2).trace(axis1=1, axis2=3))

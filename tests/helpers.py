@@ -32,6 +32,12 @@ def random_mixed_density(rng, qubits=3):
     return rho / np.trace(rho).real
 
 
+def depolarize(rho, lam):
+    """Global depolarizing map ``(1 - lam) rho + lam I/8``: noise that mixes a state
+    with one that does not depend on it."""
+    return (1.0 - lam) * rho + lam * np.eye(8) / 8.0
+
+
 def random_payoff_table(rng, high=100.0):
     """Random stakes with 0 < p < q < n, values in (0, high)."""
     from qdilemma import PayoffTable

@@ -24,7 +24,7 @@ from qdilemma.game import (DEFAULT_GAMMA, MAX_STAKE, PayoffTable, entangler, evo
 from qdilemma.noise import check_corruption, corrupted_input
 from qdilemma.tomography import fidelity
 
-from helpers import random_payoff_table
+from helpers import depolarize, random_payoff_table
 
 TABLE = PayoffTable()
 
@@ -267,6 +267,21 @@ class TestFidelityAgainstPayoffError:
         # relative where |x·Δ| >= 1; below, the bound must also cover the
         # rounding of the two means, which is absolute (~1e-14 at these stakes)
         assert abs(error - expected) <= 1e-12 * max(abs(expected), 1.0)
+
+    @given(profile=PROFILES, gamma=st.floats(0.0, np.pi / 2), lam=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_depolarizing_costs_every_class_one_fidelity_but_its_own_payoff_error(
+            self, profile, gamma, lam, seed):
+        # the pristine state mixed with I/8, which does not depend on the class: the
+        # fidelity is sqrt(1 - 7λ/8) for all, and the payoff moves by λ of the
+        # distance from the class's ideal mean M to the uniform outcome's (2p + q)/8
+        table = random_payoff_table(np.random.default_rng(seed))
+        state = evolve(profile, None, gamma)
+        noisy = depolarize(state, lam)
+        assert abs(fidelity(noisy, state) - math.sqrt(1.0 - 7.0 * lam / 8.0)) <= 1e-14
+        ideal = payoff(play(profile, 0.0, gamma), table).mean
+        error = payoff(np.diag(noisy).real, table).mean - ideal
+        assert abs(error - lam * ((2.0 * table.p + table.q) / 8.0 - ideal)) <= 1e-14 * (1.0 + table.n)
 
     def test_delta_of_each_class(self):
         deltas = {label: corruption_delta(m) for label, m in CLASS_MULTISETS.items()}
@@ -566,3 +581,11 @@ def test_other_number_types_give_the_answers_of_python_floats(kind, x):
     assert got == expected
     assert [type(a) for a in got] == [type(a) for a in expected] == [float] * 6 + [str]
     assert entangler(gamma).tobytes() == entangler(float(gamma)).tobytes()
+    for swept, grid in (("x", [kind(0), x]), ("n", [kind(9), kind(10)]), ("q", [kind(2), kind(3)])):
+        got = sweep(table, swept, grid, x, gamma)
+        expected = sweep(reference, swept, list(map(float, grid)), float(x), float(gamma))
+        assert got == expected
+        # the echoed held parameters too
+        cells = [cell for column in got.values()
+                 for cell in (column if isinstance(column, list) else [column])]
+        assert {type(cell) for cell in cells} <= {float, str, bool, type(None)}

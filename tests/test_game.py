@@ -4,7 +4,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from qdilemma import game
@@ -26,7 +26,8 @@ from qdilemma.game import (
     play,
     rx,
 )
-from qdilemma.linalg import basis_density, basis_state, kron3, max_abs
+from qdilemma.linalg import (PSD_SLACK, TOL, basis_density, basis_state, kron3, max_abs,
+                             validate_density_matrix)
 from qdilemma.noise import ancilla_prepare, corrupted_input
 
 from helpers import global_phase_distance, oracle_circuit, oracle_game_probs, ordered_product
@@ -372,6 +373,31 @@ class TestEvolve:
         rho = np.diag(np.r_[1.5, np.zeros(6), -0.5]).astype(complex)
         with pytest.raises(ValueError, match=r"^density matrix has negative eigenvalue -5\.000e-01$"):
             evolve(parse_profile("HIX"), rho)
+
+    # each input passes evolve's own input check: a trace 1e-12 short, a weight with
+    # an imaginary part, which a raw state's diagonal may carry up to TOL/2, and a
+    # negative weight at the slack, with a trace 5e-13 short
+    @pytest.mark.parametrize("letters, weights, gamma", [
+        pytest.param(("I", "I", "H"), (1 - 1e-12, 0.0), 0.0, id="short-trace"),
+        pytest.param(("I", "I", "I"), (0.7 + 5e-13j, 0.3), 0.16110731556870733, id="imaginary-weight"),
+        pytest.param(("I", "I", "H"), (-PSD_SLACK, 1 + PSD_SLACK - 5e-13), 0.7, id="negative-weight"),
+    ])
+    def test_a_state_its_input_check_accepts_evolves_to_a_valid_state(self, letters, weights, gamma):
+        out = evolve(letters, np.diag(np.r_[weights[0], np.zeros(6), weights[1]]), gamma)
+        validate_density_matrix(np.array(out))
+
+    @given(profile=st.tuples(*[st.sampled_from("IHX")] * 3), gamma=st.floats(0.0, np.pi / 2),
+           p0=st.floats(-PSD_SLACK, 1.0), trace_error=st.sampled_from([-TOL, TOL]) | st.floats(-TOL, TOL),
+           imag=st.tuples(*[st.sampled_from([-TOL / 2, TOL / 2]) | st.floats(-TOL / 2, TOL / 2)] * 2))
+    def test_every_input_its_check_accepts_evolves_to_a_valid_state(self, profile, gamma, p0,
+                                                                      trace_error, imag):
+        rho = np.diag(np.r_[p0 + 1j * imag[0], np.zeros(6), 1.0 - p0 + trace_error + 1j * imag[1]])
+        try:
+            validate_density_matrix(rho, raw=True)
+        except ValueError:
+            assume(False)
+        out = evolve(profile, rho, gamma)
+        validate_density_matrix(np.array(out))
 
     @pytest.mark.parametrize("source", [corrupted_input, ancilla_prepare])
     def test_leaves_its_argument_as_it_was(self, source):

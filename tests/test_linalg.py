@@ -307,6 +307,7 @@ class TestBasisStates:
 MADE_STATES = {
     "basis_density": lambda: basis_density("101"),
     "corrupted_input": lambda: corrupted_input(0.3),
+    "ancilla_prepare": lambda: ancilla_prepare(0.3),
     "evolve": lambda: evolve(parse_profile("HIX"), corrupted_input(0.3), 0.7),
     "project_to_physical": lambda: project_to_physical(load_reference_state("class7_appendix")),
 }
