@@ -170,7 +170,8 @@ def amplitudes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
 
 def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA) -> np.ndarray:
     """Final 3-qubit state of the game circuit on ``rho = p0|000><000| + p7|111><111|`` (default
-    ``|000>``): the columns of :func:`amplitudes` mixed by ``Re[p0, p7]``, negatives as 0, over their sum."""
+    ``|000>``): the columns of :func:`amplitudes` mixed by ``Re[p0, p7]``, negatives as 0, over their sum,
+    recorded with those weights and columns as its eigenpairs."""
     weights = np.array([1.0, 0.0])
     if rho is not None:
         rho = linalg.validate_density_matrix(rho, raw=True).ravel()
@@ -181,8 +182,9 @@ def evolve(profile, rho: np.ndarray | None = None, gamma: float = DEFAULT_GAMMA)
         weights = np.maximum(rho[[0, -1]].real, 0.0)
         weights = weights / weights.sum()
     a = amplitudes(profile, gamma)
-    # valid by construction: Hermitian, of unit trace and positive, each to rounding
-    return linalg.record_state((a * weights) @ a.conj().T)
+    # valid by construction: Hermitian, of unit trace and positive, each to rounding,
+    # with eigenvalues the weights and eigenvectors the orthonormal columns of a
+    return linalg.record_state((a * weights) @ a.conj().T, eigenpairs=(weights, a))
 
 
 def outcomes(profile, gamma: float = DEFAULT_GAMMA) -> np.ndarray:

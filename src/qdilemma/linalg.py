@@ -95,17 +95,22 @@ def _check_finite(rho: np.ndarray) -> None:
 
 
 #: The states the package made valid, by ``id``: a weak reference to the array, whether
-#: it is physical rather than only raw, and its bytes.  An entry dies with its array.
+#: it is physical rather than only raw, its bytes, and its eigenpairs where they are
+#: known (else ``None``).  An entry dies with its array.
 _RECORD = {}
 
 
-def record_state(rho: np.ndarray, physical: bool = True) -> np.ndarray:
+def record_state(rho: np.ndarray, physical: bool = True, eigenpairs=None) -> np.ndarray:
     """Record ``rho``, an 8x8 complex array the package made or checked valid, and return it.
 
     While it is that array, of that shape and dtype and holding those bytes,
     :func:`validate_density_matrix` passes it without checking it again: as
     a raw state, and also as a physical one if it was recorded ``physical``.
-    The record keeps no array alive: the entry is deleted when its array dies.
+    A maker that built ``rho`` as ``(v * w) @ v†`` from weights ``w`` and
+    orthonormal columns ``v`` passes ``eigenpairs=(w, v)``, which
+    :func:`eigenpairs` returns for a physical state in place of decomposing
+    it; both arrays are made read-only.  The record keeps no state alive:
+    the entry is deleted when its array dies.
     """
     key = id(rho)
 
@@ -114,8 +119,20 @@ def record_state(rho: np.ndarray, physical: bool = True) -> np.ndarray:
         if _RECORD.get(key, (None,))[0] is ref:
             del _RECORD[key]
 
-    _RECORD[key] = (weakref.ref(rho, forget), physical, rho.tobytes())
+    if eigenpairs is not None:
+        for part in eigenpairs:
+            part.flags.writeable = False
+    _RECORD[key] = (weakref.ref(rho, forget), physical, rho.tobytes(), eigenpairs)
     return rho
+
+
+def _recorded(rho):
+    """The record entry of ``rho`` while it is the recorded array, unchanged, else ``None``."""
+    entry = _RECORD.get(id(rho))
+    if (entry is not None and entry[0]() is rho
+            and rho.shape == (8, 8) and rho.dtype == complex and rho.tobytes() == entry[2]):
+        return entry
+    return None
 
 
 def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
@@ -127,11 +144,26 @@ def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
     :func:`record_state` that has not changed since is returned at once; any
     other array, a changed recorded one included, is checked in full.
     """
-    entry = _RECORD.get(id(rho))
-    if (entry is not None and entry[0]() is rho and (raw or entry[1])
-            and rho.shape == (8, 8) and rho.dtype == complex and rho.tobytes() == entry[2]):
+    entry = _recorded(rho)
+    if entry is not None and (raw or entry[1]):
         return rho
     return _check_density_matrix(rho, raw)
+
+
+def eigenpairs(sigma) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues ``w`` and orthonormal eigenvectors ``v`` (columns) of a physical state ``sigma``.
+
+    For an unchanged state recorded physical with its eigenpairs, those
+    recorded pairs, in the order its maker gave them and not necessarily
+    all eight; for any other array, ``eigh``'s, ascending, after the raw
+    check and the positivity rule.
+    """
+    entry = _recorded(sigma)
+    if entry is not None and entry[1] and entry[3] is not None:
+        return entry[3]
+    w, v = np.linalg.eigh(validate_density_matrix(sigma, raw=True))
+    check_spectrum(w)
+    return w, v
 
 
 def _check_density_matrix(rho, raw: bool) -> np.ndarray:
@@ -169,6 +201,6 @@ def basis_state(bits: str) -> np.ndarray:
 
 
 def basis_density(bits: str) -> np.ndarray:
-    """Projector |bits><bits| as a density matrix."""
+    """Projector |bits><bits| as a density matrix, recorded with its one eigenpair ``(1, |bits>)``."""
     psi = basis_state(bits)
-    return record_state(np.outer(psi, psi.conj()))
+    return record_state(np.outer(psi, psi.conj()), eigenpairs=(np.ones(1), psi[:, None]))

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .linalg import (DUST_RTOL, PAULIS, TOL, check_spectrum, clamp_spectrum, kron3,
+from .linalg import (DUST_RTOL, PAULIS, TOL, clamp_spectrum, eigenpairs, kron3,
                      record_state, validate_density_matrix)
 
 #: The 64 Pauli strings s_i ⊗ s_j ⊗ s_k, flattened into rows in row-major (i, j, k) order.
@@ -128,8 +128,10 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
     With ``sigma = V D V†``, the matrix under the root is unitarily similar
     to ``sqrt(D) V† rho V sqrt(D)``, which is zero outside the support of
-    ``sigma``.  So one eigendecomposition of ``sigma`` suffices: with ``u``
-    the columns of ``V sqrt(D)`` on the support of ``sigma``, the
+    ``sigma``.  So ``sigma``'s eigenpairs suffice, as
+    :func:`~qdilemma.linalg.eigenpairs` gives them: the recorded ones of a
+    game or basis target the package made, else one eigendecomposition.
+    With ``u`` the columns of ``V sqrt(D)`` on the support of ``sigma``, the
     eigenvalues above the clamp rule's dust threshold ``DUST_RTOL`` times
     the largest, the fidelity is the sum of the roots of the eigenvalues of
     the r x r block ``u† rho u``, r the rank of ``sigma``.  ``rho`` may be
@@ -148,13 +150,13 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     ``sqrt(max(0, <psi|rho|psi>))`` to rounding.
     """
     rho = validate_density_matrix(rho, raw=True)
-    w, v = np.linalg.eigh(validate_density_matrix(sigma, raw=True))
-    check_spectrum(w)
+    w, v = eigenpairs(sigma)
+    scale = w.max()
     # the support by the clamp rule's own threshold; the rule would not warn,
-    # as the check has refused any eigenvalue below -PSD_SLACK
-    keep = w > DUST_RTOL * w[-1]
+    # as the positivity rule has refused any eigenvalue below -PSD_SLACK
+    keep = w > DUST_RTOL * scale
     u = v[:, keep] * np.sqrt(w[keep])
-    spectrum = clamp_spectrum(_block_spectrum(u.conj().T @ rho @ u), w[-1])
+    spectrum = clamp_spectrum(_block_spectrum(u.conj().T @ rho @ u), scale)
     if len(spectrum) > 2:
         return float(np.sqrt(spectrum).sum())
     return sum(map(math.sqrt, spectrum))

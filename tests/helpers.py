@@ -148,20 +148,22 @@ def oracle_block_spectrum(block):
         return np.array([float(mean - radius), float(mean + radius)])
 
 
-def reference_fidelity(rho, sigma):
+def reference_fidelity(rho, sigma, eigenpairs=None):
     """:func:`qdilemma.tomography.fidelity` in numpy arrays throughout.
 
-    The target's eigendecomposition clamped by the clamp rule, the block
-    ``u† rho u`` on its support, that block's eigenvalues as an array (in
-    closed form for at most 2x2, else ``eigvalsh``), clamped again at the
-    target's scale, and the sum of their roots by numpy.  Neither state is
-    checked and nothing warns: it is the reference that ``fidelity``'s value
-    is compared with bit for bit.
+    The target's eigenpairs, ``eigenpairs`` as weights and orthonormal
+    columns where given and else its eigendecomposition, clamped by the
+    clamp rule at the largest weight, the block ``u† rho u`` on its support,
+    that block's eigenvalues as an array (in closed form for at most 2x2,
+    else ``eigvalsh``), clamped again at the target's scale, and the sum of
+    their roots by numpy.  Neither state is checked and nothing warns: it
+    is the reference that ``fidelity``'s value is compared with bit for bit.
     """
     from qdilemma.linalg import DUST_RTOL
 
-    w, v = np.linalg.eigh(sigma)
-    w = np.where(w > DUST_RTOL * w[-1], w, 0.0)
+    w, v = np.linalg.eigh(sigma) if eigenpairs is None else map(np.asarray, eigenpairs)
+    scale = w.max()
+    w = np.where(w > DUST_RTOL * scale, w, 0.0)
     u = (v * np.sqrt(w))[:, w > 0.0]
     block = u.conj().T @ rho @ u
     if len(block) == 1:
@@ -179,7 +181,7 @@ def reference_fidelity(rho, sigma):
         spectrum = np.array([low, high])
     else:
         spectrum = np.linalg.eigvalsh((block + block.conj().T) / 2)
-    return float(np.sqrt(np.where(spectrum > DUST_RTOL * w[-1], spectrum, 0.0)).sum())
+    return float(np.sqrt(np.where(spectrum > DUST_RTOL * scale, spectrum, 0.0)).sum())
 
 
 def count_full_checks(monkeypatch):

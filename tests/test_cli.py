@@ -240,7 +240,7 @@ class TestXc:
         assert doc["results"]["report"]["dominant"] == verdict
 
     def test_worked_example_closed_forms_ignore_gamma_and_play_follows_it(self, capsys):
-        # the README's worked example under "Critical corruption": the closed
+        # the README's worked example under finding F1: the closed
         # forms and the verdict ignore --gamma, and HIX simulates at the gamma
         # given; when the closed forms follow --gamma, this and the README change
         report = run_json(capsys, "xc", "--gamma", "0.3")["results"]["report"]

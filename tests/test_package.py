@@ -27,10 +27,22 @@ def test_readme_examples():
     assert attempted > 0 and failed == 0
 
 
+def section_items(heading, label) -> list:
+    """The items of the README section ``heading``, each as one string: every line
+    that starts with a match of ``label`` and a full stop starts one."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return re.split(rf"^{label}\. ", section.split("\n## ", 1)[0], flags=re.MULTILINE)[1:]
+
+
 def contract_rules() -> list:
     """The numbered rules of the README's "Numerical contracts", each as one string."""
-    section = README.read_text(encoding="utf-8").split("\n## Numerical contracts\n", 1)[1]
-    return re.split(r"^\d+\. ", section.split("\n## ", 1)[0], flags=re.MULTILINE)[1:]
+    return section_items("Numerical contracts", r"\d+")
+
+
+#: The README's sections whose items name tests: the pattern that starts an item, its
+#: label, and the one marker that may stand in for a test there and nowhere else.
+TESTED_SECTIONS = {"Numerical contracts": (r"\d+", "rule {}", r"\(untested\)"),
+                   "Findings": (r"F\d+", "F{}", r"\(open: item \d+\)")}
 
 
 def test_documented_tolerances_equal_the_code():
@@ -65,30 +77,34 @@ def collect(files) -> list:
 
 
 def test_every_contract_names_collected_tests():
-    rules = contract_rules()
-    assert rules
     problems = []
     named = {}
-    for number, rule in enumerate(rules, 1):
-        ids = re.findall(r"`(tests/[\w/]+\.py::[^`\s]+)`", rule)
-        if not ids and "(untested)" not in rule:
-            problems.append(f"rule {number} names no test and is not marked (untested)")
-        for node in ids:
-            named.setdefault(node, number)
+    for heading, (start, name, marker) in TESTED_SECTIONS.items():
+        items = section_items(heading, start)
+        assert items, heading
+        others = [other for *_, other in TESTED_SECTIONS.values() if other != marker]
+        for number, item in enumerate(items, 1):
+            label = name.format(number)
+            ids = re.findall(r"`(tests/[\w/]+\.py::[^`\s]+)`", item)
+            if not ids and not re.search(marker, item):
+                problems.append(f"{label} names no test and lacks its section's marker")
+            problems += [f"{label} has another section's marker" for m in others if re.search(m, item)]
+            for node in ids:
+                named.setdefault(node, label)
     files = {node.split("::")[0] for node in named}
     missing = {name for name in files if not (ROOT / name).is_file()}
     items = collect(sorted(ROOT / name for name in files - missing))
-    for node, number in named.items():
+    for node, label in named.items():
         if node.split("::")[0] in missing:
-            problems.append(f"rule {number}: no file for {node}")
+            problems.append(f"{label}: no file for {node}")
             continue
         # a function stands for its parametrizations and a class for its tests
         matched = [item for item in items
                    if item.nodeid == node or item.nodeid.startswith((node + "[", node + "::"))]
         if not matched:
-            problems.append(f"rule {number}: {node} is not collected")
+            problems.append(f"{label}: {node} is not collected")
         for item in matched:
             for mark in ("skip", "skipif", "xfail"):
                 if item.get_closest_marker(mark):
-                    problems.append(f"rule {number}: {item.nodeid} is marked {mark}")
+                    problems.append(f"{label}: {item.nodeid} is marked {mark}")
     assert problems == []

@@ -132,8 +132,8 @@ def test_a_tomography_request_checks_each_state_once(monkeypatch, state, checks)
     # caller's state and the reconstruction, once for each public function that
     # takes it from the caller
     assert len(checked) == checks
-    # the repair's eigendecomposition and fidelity's, of its target
-    assert shapes == [(8, 8), (8, 8)]
+    # the repair's eigendecomposition alone: fidelity reads its target's recorded eigenpairs
+    assert shapes == [(8, 8)]
 
 
 def test_estimate_of_an_evolved_state_runs_no_eigensolver(monkeypatch):
@@ -144,17 +144,20 @@ def test_estimate_of_an_evolved_state_runs_no_eigensolver(monkeypatch):
     assert shapes == []
 
 
-def test_fidelity_runs_one_eigendecomposition_of_the_target(monkeypatch):
+def test_fidelity_reads_a_made_targets_eigenpairs_and_decomposes_a_plain_one(monkeypatch):
     # a raw reconstruction, as in repeated tomography
     state = tomography.reconstruct(tomography.estimate_expectations(
         evolve(parse_profile("HIX"), corrupted_input(0.3)), 8192, 7))
     shapes = count_eigensolvers(monkeypatch)
-    # a rank-2 game target and a basis target: one 8x8 eigendecomposition of
-    # the target, and the block on its support, of size its rank, in closed form
-    for target in (evolve(parse_profile("XIX"), corrupted_input(0.3)), linalg.basis_density("101")):
-        shapes.clear()
-        tomography.fidelity(state, target)
-        assert shapes == [(8, 8)]
+    # a rank-2 game target and a basis target: the block on the target's
+    # support, of size its rank, is taken in closed form, and the target's
+    # eigenpairs are the ones its maker recorded, or, for a caller's plain
+    # copy, one 8x8 eigendecomposition
+    for made in (evolve(parse_profile("XIX"), corrupted_input(0.3)), linalg.basis_density("101")):
+        for target, decompositions in ((made, []), (np.array(made), [(8, 8)])):
+            shapes.clear()
+            tomography.fidelity(state, target)
+            assert shapes == decompositions
 
 
 def test_evolve_runs_no_eigensolver(monkeypatch):

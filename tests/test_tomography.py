@@ -476,12 +476,14 @@ class TestFidelityMatchesReference:
     """``fidelity`` equals :func:`helpers.reference_fidelity`, its all-array form, bit for bit."""
 
     @staticmethod
-    def assert_bit_identical(rho, target):
+    def assert_bit_identical(rho, target, eigenpairs=None):
+        """Assert that ``fidelity(rho, target)`` is the reference's value, and return it."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", linalg.ClampWarning)
             value = fidelity(rho, target)
         assert type(value) is float
-        assert value.hex() == reference_fidelity(rho, target).hex()
+        assert value.hex() == reference_fidelity(rho, target, eigenpairs).hex()
+        return value
 
     @settings(max_examples=100)
     @given(letters=st.tuples(*[st.sampled_from("IHX")] * 3), x=st.floats(0.0, 1.0),
@@ -490,8 +492,66 @@ class TestFidelityMatchesReference:
     def test_game_target_against_its_shot_reconstructions(self, letters, x, gamma, shots, seed):
         target = evolve(letters, corrupted_input(x), gamma)
         raw = reconstruct(estimate_expectations(target, shots, seed))
+        # the target's eigenpairs as evolve records them, computed here without
+        # evolve: on the corrupted source the weights' sum is exactly 1.0
         for rho in (raw, project_to_physical(raw)):
-            self.assert_bit_identical(rho, target)
+            self.assert_bit_identical(rho, target, ([1 - x, x], amplitudes(letters, gamma)))
+
+    @settings(max_examples=100)
+    @given(letters=st.tuples(*[st.sampled_from("IHX")] * 3), x=st.floats(0.0, 1.0),
+           gamma=st.floats(0.0, np.pi / 2), shots=st.integers(1, 10**6),
+           seed=st.integers(0, 2**32 - 1))
+    # a weight of 1e-10: eigh's eigenvector of it carries eps/1e-10 of rounding,
+    # and the two values differ by 3.7e-13
+    @example(letters=("I", "I", "H"), x=1e-10, gamma=1.0, shots=1, seed=0)
+    # a block eigenvalue at the dust threshold, kept on one path and zeroed on the other
+    @example(letters=("X", "H", "I"), x=1.8061913790022147e-14, gamma=0.7293914412933701,
+             shots=3, seed=2597002556)
+    def test_a_plain_copy_of_a_game_target_is_decomposed(self, letters, x, gamma, shots, seed):
+        target = evolve(letters, corrupted_input(x), gamma)
+        raw = reconstruct(estimate_expectations(target, shots, seed))
+        # the block's eigenvalues on the recorded support, the larger of the two
+        w, v = linalg.eigenpairs(target)
+        u = (v * np.sqrt(w))[:, w > 0.0]
+        for rho in (raw, project_to_physical(raw), target):
+            # a caller's copy carries no record, so its fidelity is the eigendecomposition's bit for bit
+            copied = self.assert_bit_identical(rho, np.array(target))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", linalg.ClampWarning)
+                value = fidelity(rho, target)
+            # The recorded pairs form the target bit for bit, and eigh's to its
+            # decomposition error, so each block eigenvalue differs by at most delta
+            # between the two, and its root by delta over the root, or by the root of
+            # the dust floor near 0.  The two agree within 1e-14 unless a weight is below ~1e-4.
+            delta = rounding(rho) + decomposition_error(rho, target)
+            floor = linalg.DUST_RTOL + 2 * delta
+            block = u.conj().T @ rho @ u
+            spectrum = np.linalg.eigvalsh((block + block.conj().T) / 2)
+            allowed = sum(np.sqrt(floor) if s <= floor else delta / np.sqrt(s) for s in spectrum)
+            assert abs(copied - value) <= allowed
+
+    @pytest.mark.parametrize("make, other", [
+        (lambda: evolve(("H", "I", "X"), corrupted_input(0.3), 0.7),
+         lambda: evolve(("X", "I", "H"), corrupted_input(0.6), 0.2)),
+        (lambda: basis_density("101"), lambda: basis_density("011")),
+    ], ids=["evolve", "basis_density"])
+    def test_a_recorded_target_changed_in_place_is_decomposed(self, make, other):
+        rho = random_mixed_density(np.random.default_rng(5))
+        target = make()
+        stale = linalg.eigenpairs(target)
+        target[...] = other()
+        # its bytes differ from the record's, so its recorded pairs, which would
+        # give another value, are not read
+        assert reference_fidelity(rho, target, stale) != reference_fidelity(rho, target)
+        self.assert_bit_identical(rho, target)
+
+    def test_a_target_recorded_raw_is_decomposed_and_refused(self):
+        # recorded with its own eigenpairs, but as a raw state only: the pairs
+        # are not read, and the positivity rule refuses the target
+        class7 = load_reference_state("class7_appendix")
+        linalg.record_state(class7, physical=False, eigenpairs=np.linalg.eigh(class7))
+        with pytest.raises(ValueError, match=r"^density matrix has negative eigenvalue -1\.083e\+00$"):
+            fidelity(basis_density("101"), class7)
 
     @settings(max_examples=60)
     @given(bits=st.integers(0, 7), rho=st.one_of(physical_states, raw_states))
