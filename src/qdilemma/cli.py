@@ -256,12 +256,12 @@ def _resolve_state(token: str, args, role: str = "STATE", raw: bool = True) -> n
         raise ValueError(
             f"cannot resolve state {token!r}: not a profile, bundled reference state, or file"
         )
+    # checked here, raw and then by its eigenpairs, so the function that reads it checks it no more
     try:
-        rho = linalg.validate_density_matrix(rho, raw)
+        rho = linalg.record_state(linalg.validate_density_matrix(rho, raw=True), None)
+        return rho if raw else linalg.record_state(rho, linalg.eigenpairs(rho))
     except ValueError as exc:
         raise ValueError(f"{role} {token}: {exc}") from None
-    # checked here, so the function that reads it checks it no more
-    return linalg.record_state(rho, physical=not raw)
 
 
 def _tensor_payload(args, t: np.ndarray, token: str) -> dict:

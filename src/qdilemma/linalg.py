@@ -94,23 +94,21 @@ def _check_finite(rho: np.ndarray) -> None:
         raise ValueError("density matrix has non-finite entries")
 
 
-#: The states the package made valid, by ``id``: a weak reference to the array, whether
-#: it is physical rather than only raw, its bytes, and its eigenpairs where they are
-#: known (else ``None``).  An entry dies with its array.
+#: The states the package made valid, by ``id``: a weak reference to the array, its bytes,
+#: and its eigenpairs if it is physical, else ``None``.  An entry dies with its array.
 _RECORD = {}
 
 
-def record_state(rho: np.ndarray, physical: bool = True, eigenpairs=None) -> np.ndarray:
+def record_state(rho: np.ndarray, eigenpairs) -> np.ndarray:
     """Record ``rho``, an 8x8 complex array the package made or checked valid, and return it.
 
-    While it is that array, of that shape and dtype and holding those bytes,
-    :func:`validate_density_matrix` passes it without checking it again: as
-    a raw state, and also as a physical one if it was recorded ``physical``.
-    A maker that built ``rho`` as ``(v * w) @ v†`` from weights ``w`` and
-    orthonormal columns ``v`` passes ``eigenpairs=(w, v)``, which
-    :func:`eigenpairs` returns for a physical state in place of decomposing
-    it; both arrays are made read-only.  The record keeps no state alive:
-    the entry is deleted when its array dies.
+    ``eigenpairs`` is ``None`` for a raw state, and for a physical one its
+    weights ``w`` and orthonormal columns ``v``, ``rho = (v * w) @ v†``, which
+    :func:`eigenpairs` returns in place of decomposing it; both are made
+    read-only.  While ``rho`` is that array, of that shape, dtype and bytes,
+    :func:`validate_density_matrix` passes it unchecked: as a raw state, and
+    as a physical one if it has eigenpairs.  The record keeps no state
+    alive: the entry is deleted when its array dies.
     """
     key = id(rho)
 
@@ -119,10 +117,9 @@ def record_state(rho: np.ndarray, physical: bool = True, eigenpairs=None) -> np.
         if _RECORD.get(key, (None,))[0] is ref:
             del _RECORD[key]
 
-    if eigenpairs is not None:
-        for part in eigenpairs:
-            part.flags.writeable = False
-    _RECORD[key] = (weakref.ref(rho, forget), physical, rho.tobytes(), eigenpairs)
+    for part in eigenpairs or ():
+        part.flags.writeable = False
+    _RECORD[key] = (weakref.ref(rho, forget), rho.tobytes(), eigenpairs)
     return rho
 
 
@@ -130,7 +127,7 @@ def _recorded(rho):
     """The record entry of ``rho`` while it is the recorded array, unchanged, else ``None``."""
     entry = _RECORD.get(id(rho))
     if (entry is not None and entry[0]() is rho
-            and rho.shape == (8, 8) and rho.dtype == complex and rho.tobytes() == entry[2]):
+            and rho.shape == (8, 8) and rho.dtype == complex and rho.tobytes() == entry[1]):
         return entry
     return None
 
@@ -140,12 +137,12 @@ def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
 
     Finite entries, an 8x8 shape, Hermiticity and unit trace are always
     enforced; positivity (:func:`check_spectrum`) is skipped for ``raw``
-    states such as linear-inversion tomography output.  A state recorded by
-    :func:`record_state` that has not changed since is returned at once; any
-    other array, a changed recorded one included, is checked in full.
+    states such as linear-inversion tomography output.  An unchanged state
+    recorded by :func:`record_state` is returned at once where it has
+    eigenpairs or is asked ``raw``; any other array is checked in full.
     """
     entry = _recorded(rho)
-    if entry is not None and (raw or entry[1]):
+    if entry is not None and (raw or entry[2] is not None):
         return rho
     return _check_density_matrix(rho, raw)
 
@@ -153,14 +150,13 @@ def validate_density_matrix(rho, raw: bool = False) -> np.ndarray:
 def eigenpairs(sigma) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues ``w`` and orthonormal eigenvectors ``v`` (columns) of a physical state ``sigma``.
 
-    For an unchanged state recorded physical with its eigenpairs, those
-    recorded pairs, in the order its maker gave them and not necessarily
-    all eight; for any other array, ``eigh``'s, ascending, after the raw
-    check and the positivity rule.
+    The pairs recorded with an unchanged state, in its maker's order and not
+    necessarily all eight; else ``eigh``'s, ascending, after the raw check
+    and the positivity rule.
     """
     entry = _recorded(sigma)
-    if entry is not None and entry[1] and entry[3] is not None:
-        return entry[3]
+    if entry is not None and entry[2] is not None:
+        return entry[2]
     w, v = np.linalg.eigh(validate_density_matrix(sigma, raw=True))
     check_spectrum(w)
     return w, v

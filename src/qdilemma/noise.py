@@ -13,14 +13,18 @@ import numpy as np
 from . import linalg
 from .game import check_corruption
 
+#: The eigenvectors of every corrupted input, ``|000>`` and ``|111>``, as read-only columns.
+_SOURCE_COLUMNS = np.eye(8, dtype=complex)[:, [0, -1]]
+_SOURCE_COLUMNS.flags.writeable = False
+
 
 def corrupted_input(x: float) -> np.ndarray:
-    """Mixed 3-qubit input: |000> with probability 1-x, |111> with probability x."""
+    """Mixed 3-qubit input: |000> with probability 1-x, |111> with x, recorded with its eigenpairs."""
     x = check_corruption(x)
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0 - x
     rho[7, 7] = x
-    return linalg.record_state(rho)
+    return linalg.record_state(rho, (np.array([1.0 - x, x]), _SOURCE_COLUMNS))
 
 
 def theta_for_x(x: float) -> float:
@@ -36,10 +40,11 @@ def ancilla_prepare(x: float) -> np.ndarray:
     ancilla ``Ry(theta)|0> = cos(theta/2)|0> + sin(theta/2)|1>``, and a CNOT
     from the ancilla onto each game qubit copies it; the register stays a pure
     statevector until the ancilla is traced out, so the equivalence is exact
-    to rounding.  The state is valid by construction and returned recorded.
+    to rounding.  Valid by construction, the state is recorded with its eigenpairs.
     """
     half = theta_for_x(x) / 2
     psi = np.kron(linalg.basis_state("000"), [np.cos(half), np.sin(half)])
     for qubit in range(3):
         psi = linalg.cnot(3, qubit, 4) @ psi
-    return linalg.record_state(np.outer(psi, psi.conj()).reshape(8, 2, 8, 2).trace(axis1=1, axis2=3))
+    rho = np.outer(psi, psi.conj()).reshape(8, 2, 8, 2).trace(axis1=1, axis2=3)
+    return linalg.record_state(rho, (rho.diagonal()[[0, -1]].real, _SOURCE_COLUMNS))

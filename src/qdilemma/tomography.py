@@ -130,7 +130,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     to ``sqrt(D) V† rho V sqrt(D)``, which is zero outside the support of
     ``sigma``.  So ``sigma``'s eigenpairs suffice, as
     :func:`~qdilemma.linalg.eigenpairs` gives them: the recorded ones of a
-    game or basis target the package made, else one eigendecomposition.
+    target the package made or checked physical, else one eigendecomposition.
     With ``u`` the columns of ``V sqrt(D)`` on the support of ``sigma``, the
     eigenvalues above the clamp rule's dust threshold ``DUST_RTOL`` times
     the largest, the fidelity is the sum of the roots of the eigenvalues of
@@ -196,13 +196,13 @@ def project_to_physical(rho: np.ndarray) -> np.ndarray:
     required (for example as the second fidelity argument).  It is not the
     nearest physical state in Frobenius distance: clipping then renormalizing
     can land further away than projecting the spectrum onto the probability
-    simplex does.
+    simplex does.  The result is recorded with the eigenpairs it is formed from.
     """
-    rho = validate_density_matrix(rho, raw=True)
-    w, v = np.linalg.eigh(rho)
-    out = (v * np.maximum(w, 0.0)) @ v.conj().T
-    # physical by construction: its residual and trace error are rounding, far inside TOL
-    return record_state(out / out.trace().real)
+    w, v = np.linalg.eigh(validate_density_matrix(rho, raw=True))
+    w = np.maximum(w, 0.0)
+    w /= w.sum()
+    # physical by construction, as evolve's state is: its residual and trace error are rounding
+    return record_state((v * w) @ v.conj().T, (w, v))
 
 
 #: Names of the bundled reconstructed states.
@@ -220,13 +220,13 @@ def parse_density_text(text: str) -> np.ndarray:
     if len(lines) != 17 or lines[8]:
         raise ValueError("expected 8 real rows, a blank line, and 8 imaginary rows")
     try:
-        re = np.array([[float(v) for v in line.split()] for line in lines[:8]])
-        im = np.array([[float(v) for v in line.split()] for line in lines[9:]])
+        rows = [[float(v) for v in line.split()] for line in lines[:8] + lines[9:]]
     except ValueError as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from None
-    if re.shape != (8, 8) or im.shape != (8, 8):
+    if any(len(row) != 8 for row in rows):
         raise ValueError("every row must hold exactly 8 values")
-    return re + 1j * im
+    parts = np.array(rows)
+    return parts[:8] + 1j * parts[8:]
 
 
 def read_density_matrix(path) -> np.ndarray:

@@ -45,6 +45,8 @@ BOOL_CELL_TENSOR = str(DATA / "tensor_bool_cell.json")
 #: for one off-diagonal entry, and the identity over 4 (trace 2).
 NOT_HERMITIAN_MATRIX = str(DATA / "matrix_not_hermitian.txt")
 TRACE_TWO_MATRIX = str(DATA / "matrix_trace_two.txt")
+#: The maximally mixed state with one real row 7 values long, a file that does not parse.
+SHORT_ROW_MATRIX = str(DATA / "matrix_short_row.txt")
 
 
 #: A fidelity whose raw STATE has a negative eigenvalue, which the clamp rule clamps.
@@ -319,6 +321,14 @@ class TestTomo:
         proc = subprocess.run([sys.executable, "-m", "qdilemma.cli", "tomo", "forward", path],
                               capture_output=True, text=True, env=subprocess_env(), check=False)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: STATE {path}: {message}\n")
+
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param(None, "every row must hold exactly 8 values", id="short-row"),
+        pytest.param("1/8", "malformed matrix entry: could not convert string to float: '1/8'", id="entry"),
+    ])
+    def test_state_file_that_does_not_parse_is_named(self, capsys, tmp_path, entry, message):
+        path = SHORT_ROW_MATRIX if entry is None else write_matrix_with_entry(tmp_path / "entry.txt", entry)
+        assert run(capsys, "tomo", "forward", path) == (2, "", f"error: {path}: {message}\n")
 
     def test_clamp_is_reported_on_one_line(self, capsys):
         # in process, where the suite's filters turn a UserWarning into an error

@@ -65,10 +65,10 @@ def test_one_binomial_call_per_estimate(monkeypatch):
     assert len(draws) == 1
 
 
-def count_eigensolvers(monkeypatch):
-    """Collect, in the returned list, the shape of each matrix handed to ``eigh`` or ``eigvalsh``."""
+def count_eigensolvers(monkeypatch, names=("eigh", "eigvalsh")):
+    """Collect, in the returned list, the shape of each matrix handed to one of the ``np.linalg`` ``names``."""
     shapes = []
-    for name in ("eigh", "eigvalsh"):
+    for name in names:
         def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
             shapes.append(np.shape(a))
             return _original(a, *args, **kwargs)
@@ -98,23 +98,29 @@ def test_each_state_checked_once_per_public_call(monkeypatch, call, takes, made)
     assert len(checked) == (0 if made else takes)
 
 
-@pytest.mark.parametrize("argv, checks", [
-    (["tomo", "forward", "class7_appendix"], 1),
-    (["tomo", "forward", str(NEAR_HERMITIAN_MATRIX)], 1),
-    (["tomo", "fidelity", "class7_appendix", "101"], 1),
-    (["tomo", "fidelity", "XIX", "101"], 0),
-    (["tomo", "fidelity", str(NEAR_HERMITIAN_MATRIX), str(NEAR_HERMITIAN_MATRIX)], 2),
-    (["tomo", "estimate", "XIX"], 0),
+@pytest.mark.parametrize("argv, checks, eighs, eigvalshs", [
+    (["tomo", "forward", "class7_appendix"], 1, 0, 0),
+    (["tomo", "forward", str(NEAR_HERMITIAN_MATRIX)], 1, 0, 0),
+    (["tomo", "fidelity", "class7_appendix", "101"], 1, 0, 0),
+    (["tomo", "fidelity", "XIX", "101"], 0, 0, 0),
+    (["tomo", "fidelity", str(NEAR_HERMITIAN_MATRIX), str(NEAR_HERMITIAN_MATRIX)], 2, 1, 1),
+    (["tomo", "estimate", "XIX"], 0, 0, 0),
+    (["tomo", "estimate", str(NEAR_HERMITIAN_MATRIX)], 1, 1, 0),
 ], ids=["forward-bundled", "forward-file", "fidelity-bundled", "fidelity-profile", "fidelity-files",
-        "estimate-profile"])
-def test_cli_checks_each_state_once(monkeypatch, tmp_path, argv, checks):
+        "estimate-profile", "estimate-file"])
+def test_cli_checks_each_state_once(monkeypatch, tmp_path, argv, checks, eighs, eigvalshs):
     checked = count_full_checks(monkeypatch)
+    eigh = count_eigensolvers(monkeypatch, ["eigh"])
+    eigvalsh = count_eigensolvers(monkeypatch, ["eigvalsh"])
     assert cli.main([*argv, "--output", str(tmp_path / "out.json")]) == 0
     # a bundled or file state is checked by the CLI, to name its role and token,
     # and not again by the function that reads it; a profile's state is not
     # checked at all: evolve makes it, valid by construction, from the recorded
     # source, and a basis target is recorded as it is made
     assert len(checked) == checks
+    # a physical role's check is one eigh, whose eigenpairs it records for fidelity
+    # to read; the rank-8 target's block goes through eigvalsh
+    assert (eigh, eigvalsh) == ([(8, 8)] * eighs, [(8, 8)] * eigvalshs)
 
 
 @pytest.mark.parametrize("state, checks", [
@@ -158,6 +164,18 @@ def test_fidelity_reads_a_made_targets_eigenpairs_and_decomposes_a_plain_one(mon
             shapes.clear()
             tomography.fidelity(state, target)
             assert shapes == decompositions
+
+
+def test_fidelity_reads_a_repaired_targets_eigenpairs(monkeypatch):
+    raw = tomography.reconstruct(tomography.estimate_expectations(
+        evolve(parse_profile("HIX"), corrupted_input(0.3)), 8192, 7))
+    target = tomography.project_to_physical(raw)
+    eigh = count_eigensolvers(monkeypatch, ["eigh"])
+    # the repair recorded the pairs it formed its state from; a plain copy is decomposed
+    tomography.fidelity(raw, target)
+    assert eigh == []
+    tomography.fidelity(raw, np.array(target))
+    assert eigh == [(8, 8)]
 
 
 def test_evolve_runs_no_eigensolver(monkeypatch):

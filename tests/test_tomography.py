@@ -364,6 +364,18 @@ class TestFidelity:
                 rho = evolve(letters, corrupted_input(x), gamma)
                 assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("x", [1e-8, 1e-12, 1 - 1e-8])
+    def test_self_fidelity_drops_a_weight_below_the_root_of_the_dust(self, x):
+        # the block's eigenvalue w² of a weight w at most sqrt(DUST_RTOL) times
+        # the largest is rounding dust to the clamp, so w adds 0 rather than w
+        rho = evolve(parse_profile("HIX"), corrupted_input(x), 0.7)
+        w = linalg.eigenpairs(rho)[0]
+        assert 0.0 < w.min() <= np.sqrt(linalg.DUST_RTOL * w.max())
+        assert abs(fidelity(rho, rho) - (1.0 - w.min())) <= 1e-14
+        # just above that root, the weight stays and the fidelity is 1
+        rho = evolve(parse_profile("HIX"), corrupted_input(4.3e-8 if x < 0.5 else 1 - 4.3e-8), 0.7)
+        assert abs(fidelity(rho, rho) - 1.0) <= 1e-14
+
     def test_rank_deficient_pair_carries_no_rounding_dust(self):
         # both states have rank 2; the reference is mpmath at 40 digits on these
         # two float matrices
@@ -544,14 +556,6 @@ class TestFidelityMatchesReference:
         # give another value, are not read
         assert reference_fidelity(rho, target, stale) != reference_fidelity(rho, target)
         self.assert_bit_identical(rho, target)
-
-    def test_a_target_recorded_raw_is_decomposed_and_refused(self):
-        # recorded with its own eigenpairs, but as a raw state only: the pairs
-        # are not read, and the positivity rule refuses the target
-        class7 = load_reference_state("class7_appendix")
-        linalg.record_state(class7, physical=False, eigenpairs=np.linalg.eigh(class7))
-        with pytest.raises(ValueError, match=r"^density matrix has negative eigenvalue -1\.083e\+00$"):
-            fidelity(basis_density("101"), class7)
 
     @settings(max_examples=60)
     @given(bits=st.integers(0, 7), rho=st.one_of(physical_states, raw_states))
